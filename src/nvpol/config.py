@@ -63,7 +63,6 @@ class RunConfig:
     calibrate_target: float | None = None
     sweep_axis1: SweepAxis | None = None
     sweep_axis2: SweepAxis | None = None
-    strain: StrainDistribution | None = None
     temperature_table: tuple | None = None
     fit: FitSettings = field(default_factory=FitSettings)
     synth: SynthSettings | None = None
@@ -324,7 +323,6 @@ def load_config(path) -> RunConfig:
             axis2 = _parse_axis(sw.pop("axis2"), "sweep.axis2")
         _reject_unknown(sw, "sweep")
 
-    strain = _parse_strain(d.pop("strain"), "strain") if "strain" in d else None
     table = _parse_temperature_table(d.pop("temperature_table")) if "temperature_table" in d else None
     fit = _parse_fit(d.pop("fit", None))
     synth = _parse_synth(d.pop("synth")) if "synth" in d else None
@@ -340,7 +338,6 @@ def load_config(path) -> RunConfig:
         calibrate_target=calibrate_target,
         sweep_axis1=axis1,
         sweep_axis2=axis2,
-        strain=strain,
         temperature_table=table,
         fit=fit,
         synth=synth,

@@ -8,11 +8,11 @@ inverse microseconds and enter the generator unscaled.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import solver
-from ._kernels import liouvillian_dense
 from .spinops import OperatorMatrix, SpinQuantumNumber, embed, spin_operators
 
 # Default constants.  gamma_e corresponds to electron g ~ 2; gamma_n is
@@ -131,6 +131,23 @@ class Liouvillian:
             )
 
 
+@lru_cache(maxsize=None)
+def _joint_spin_operators(dims: tuple) -> tuple:
+    """((Sx, Sy, Sz), (Ix, Iy, Iz)) embedded in the joint space of dims.
+
+    The operators depend on dims alone, so they are built once per dims
+    and shared; they are marked read-only because every caller gets the
+    same arrays.
+    """
+    es = spin_operators(ELECTRON_SPIN)
+    ns = spin_operators(SpinQuantumNumber(dims[1] - 1))
+    s_ops = tuple(embed(op, 0, dims) for op in (es.sx, es.sy, es.sz))
+    i_ops = tuple(embed(op, 1, dims) for op in (ns.sx, ns.sy, ns.sz))
+    for op in s_ops + i_ops:
+        op.flags.writeable = False
+    return s_ops, i_ops
+
+
 def build_hamiltonian(p: NVSystemParams) -> OperatorMatrix:
     """Joint-space Hamiltonian in MHz.
 
@@ -138,10 +155,7 @@ def build_hamiltonian(p: NVSystemParams) -> OperatorMatrix:
         + B . (gamma_e S + gamma_n I) + I . A . S
     """
     dims = p.dims
-    es = spin_operators(ELECTRON_SPIN)
-    ns = spin_operators(p.nuclear_spin)
-    sx, sy, sz = (embed(op, 0, dims) for op in (es.sx, es.sy, es.sz))
-    ix, iy, iz = (embed(op, 1, dims) for op in (ns.sx, ns.sy, ns.sz))
+    (sx, sy, sz), (ix, iy, iz) = _joint_spin_operators(dims)
     eye = np.eye(dims[0] * dims[1], dtype=np.complex128)
     s_e = ELECTRON_SPIN.s
     ham = p.d_es * (sz @ sz - (s_e * (s_e + 1.0) / 3.0) * eye)
@@ -161,11 +175,7 @@ def build_hyperfine(h: HyperfineTensor, dims) -> OperatorMatrix:
     equivalence holds bit for bit.
     """
     a = np.asarray(h.as_matrix(), dtype=float)
-    es = spin_operators(ELECTRON_SPIN)
-    nspin = SpinQuantumNumber(dims[1] - 1)
-    ns = spin_operators(nspin)
-    s_ops = [embed(op, 0, dims) for op in (es.sx, es.sy, es.sz)]
-    i_ops = [embed(op, 1, dims) for op in (ns.sx, ns.sy, ns.sz)]
+    s_ops, i_ops = _joint_spin_operators(tuple(int(d) for d in dims))
     out = np.zeros((dims[0] * dims[1],) * 2, dtype=np.complex128)
     for i in range(3):
         for j in range(3):
@@ -217,6 +227,9 @@ def build_collapse_ops(d: DissipationParams, dims) -> list:
 def liouvillian(ham: OperatorMatrix, collapse: list) -> Liouvillian:
     """Vectorized Lindblad generator (row-stacking convention).
 
+    vec(rho) = rho.reshape(n*n) in C order, so vec(A rho B) =
+    (A kron B^T) vec(rho) and
+
     L = -i 2 pi (H kron I - I kron H^T)
         + sum_k g_k (C_k kron conj(C_k)
                      - (C_k^H C_k kron I + I kron (C_k^H C_k)^T) / 2)
@@ -229,19 +242,21 @@ def liouvillian(ham: OperatorMatrix, collapse: list) -> Liouvillian:
     n = ham.shape[0]
     if ham.shape != (n, n):
         raise ValueError(f"Hamiltonian must be square, got {ham.shape}")
-    for op, _rate in collapse:
-        if np.asarray(op).shape != (n, n):
+    eye = np.eye(n, dtype=np.complex128)
+    gen = -2j * np.pi * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    cdc = np.zeros((n, n), dtype=np.complex128)  # sum_k g_k C_k^H C_k
+    for op, rate in collapse:
+        cop = np.asarray(op, dtype=np.complex128)
+        if cop.shape != (n, n):
             raise ValueError(
-                f"collapse operator shape {np.asarray(op).shape} does not match "
+                f"collapse operator shape {cop.shape} does not match "
                 f"Hamiltonian dimension {n}"
             )
-    if collapse:
-        cops = np.stack([np.asarray(op, dtype=np.complex128) for op, _ in collapse])
-        rates = np.array([float(r) for _, r in collapse])
-    else:
-        cops = np.zeros((0, n, n), dtype=np.complex128)
-        rates = np.zeros(0)
-    return Liouvillian(matrix=liouvillian_dense(ham, cops, rates), hilbert_dim=n)
+        g = float(rate)
+        gen += g * np.kron(cop, cop.conj())
+        cdc += g * (cop.conj().T @ cop)
+    gen -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    return Liouvillian(matrix=gen, hilbert_dim=n)
 
 
 def _electron_polarization_at(leak: float, d: DissipationParams, p: NVSystemParams) -> float:

@@ -58,24 +58,29 @@ def validate_density_matrix(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-10,
 
 
 def steady_state(lv) -> SteadyStateReport:
-    """Stationary density matrix from the SVD null space of L.
+    """Stationary density matrix of L, with an SVD verdict on uniqueness.
 
-    Singular vectors with singular value < TOL_NULL * sigma_max span the
-    null space.  A unique null vector is reshaped (row stacking),
-    hermitized to scrub numerical asymmetry, and trace-normalized.  The
-    residual ||L vec(rho)||_2 is recomputed on the returned state.
+    Singular values below TOL_NULL * sigma_max count as the null space;
+    it must be one-dimensional.  The state itself comes from a direct
+    solve of L vec(rho) = 0 with the first row of L replaced by the trace
+    condition vec(I)^T vec(rho) = 1.  That row is redundant in L, because
+    vec(I)^H L = 0, so the solve loses no equation; unlike the SVD null
+    vector it carries no rounding of order eps * sigma_max / gap.  The
+    result is hermitized to scrub numerical asymmetry, and the residual
+    ||L vec(rho)||_2 is recomputed on the returned state.
 
     Raises
     ------
     NoStationaryState
-        If the null space is empty within tolerance.
+        If the null space is empty within tolerance, or the trace-row
+        system is singular.
     DegenerateSteadyState
         If its dimension exceeds one; physical models with nonzero pump
         have unique steady states, so degeneracy signals a bad config.
     """
     mat = lv.matrix
     n = lv.hilbert_dim
-    _u, sing, vh = np.linalg.svd(mat)
+    sing = np.linalg.svd(mat, compute_uv=False)
     sigma_max = sing[0] if sing.size else 0.0
     null_dim = int(np.count_nonzero(sing < TOL_NULL * sigma_max)) if sigma_max > 0 else sing.size
     if null_dim == 0:
@@ -84,12 +89,16 @@ def steady_state(lv) -> SteadyStateReport:
         )
     if null_dim > 1:
         raise DegenerateSteadyState(null_dim)
-    rho = vh[-1].conj().reshape(n, n)
+    system = mat.copy()
+    system[0] = np.eye(n).reshape(-1)
+    rhs = np.zeros(n * n, dtype=np.complex128)
+    rhs[0] = 1.0
+    try:
+        vec = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoStationaryState(f"trace-row system is singular: {exc}") from exc
+    rho = vec.reshape(n, n)
     rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-12:
-        raise NoStationaryState("null vector is traceless; not a physical state")
-    rho = rho / tr
     validate_density_matrix(rho)
     residual = float(np.linalg.norm(mat @ rho.reshape(-1)))
     return SteadyStateReport(rho=rho, residual_norm=residual, null_space_dim=null_dim)

@@ -131,13 +131,19 @@ dissipation:
 
 class TestConfigErrors:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "system:\n  d_es_mz: 1400.0\n")
-        out = tmp_path / "out"
-        assert main(["steady", "--config", cfg, "--out", str(out)]) == 2
-        record = json.loads(capsys.readouterr().err.splitlines()[0])
-        assert record["error"] == "ConfigError"
-        assert "unknown key" in record["detail"]
-        assert not out.exists()
+        # a misspelled nested key, and a top-level strain section (strain
+        # belongs under synth or in temperature_table rows)
+        for k, text in enumerate((
+            "system:\n  d_es_mz: 1400.0\n",
+            "strain: {mean_mhz: 0.0, sigma_mhz: 50.0, n_quadrature: 32}\n",
+        )):
+            cfg = write_config(tmp_path, text, name=f"run{k}.yaml")
+            out = tmp_path / f"out{k}"
+            assert main(["steady", "--config", cfg, "--out", str(out)]) == 2
+            record = json.loads(capsys.readouterr().err.splitlines()[0])
+            assert record["error"] == "ConfigError"
+            assert "unknown key" in record["detail"]
+            assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.yaml")

@@ -18,6 +18,38 @@ from nvpol.solver import evolve, electron_polarization, steady_state
 from nvpol.spinops import SpinQuantumNumber
 
 
+def liouvillian_loop(ham, collapse):
+    """Reference generator assembled element by element from the Lindblad
+    formula, independent of the Kronecker products in liouvillian().
+
+    Row stacking: element (a, b) of rho sits at index a * n + b.
+    """
+    ham = np.asarray(ham, dtype=complex)
+    n = ham.shape[0]
+    out = np.zeros((n * n, n * n), dtype=complex)
+    w = -2j * np.pi
+    for a in range(n):
+        for c in range(n):
+            for b in range(n):
+                out[a * n + b, c * n + b] += w * ham[a, c]
+                out[b * n + a, b * n + c] -= w * ham[c, a]
+    for cop, g in collapse:
+        cop = np.asarray(cop, dtype=complex)
+        cdc = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                for m in range(n):
+                    cdc[i, j] += np.conj(cop[m, i]) * cop[m, j]
+        for a in range(n):
+            for c in range(n):
+                for b in range(n):
+                    for d in range(n):
+                        out[a * n + b, c * n + d] += g * cop[a, c] * np.conj(cop[b, d])
+                    out[a * n + b, c * n + b] -= 0.5 * g * cdc[a, c]
+                    out[b * n + a, b * n + c] -= 0.5 * g * cdc[c, a]
+    return out
+
+
 def bare_params(**kw):
     defaults = dict(
         d_es=1400.0,
@@ -73,6 +105,15 @@ class TestHamiltonian:
             )
             ham = build_hamiltonian(p)
             assert np.abs(ham - ham.conj().T).max() < 1e-12 * max(1.0, np.abs(ham).max())
+
+    def test_returned_matrix_is_not_shared(self):
+        # the embedded spin operators are cached across calls; the
+        # Hamiltonian handed out must still be the caller's own array
+        p = NVSystemParams(b_field=(0.0, 0.0, 500.0))
+        first = build_hamiltonian(p)
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(build_hamiltonian(p), expected)
 
     def test_invariants_rejected(self):
         with pytest.raises(ValueError):
@@ -186,6 +227,29 @@ class TestLiouvillian:
         drho = (lv.matrix @ rho_e.reshape(-1)).reshape(2, 2)
         assert drho[1, 1] == pytest.approx(-gamma, rel=1e-14)
         assert drho[0, 0] == pytest.approx(gamma, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_matches_loop_oracle_random(self, n):
+        rng = np.random.default_rng(40 + n)
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = 0.5 * (h + h.conj().T)
+        collapse = [
+            (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+             float(rng.uniform(0.1, 2.0)))
+            for _k in range(3)
+        ]
+        expected = liouvillian_loop(h, collapse)
+        got = liouvillian(h, collapse).matrix
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_matches_loop_oracle_nv_model(self):
+        p = NVSystemParams(b_field=(0.0, 0.0, 500.0))
+        d = DissipationParams(pump_leak_ratio=0.2)
+        ham = build_hamiltonian(p)
+        collapse = build_collapse_ops(d, p.dims)
+        expected = liouvillian_loop(ham, collapse)
+        got = liouvillian(ham, collapse).matrix
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):

@@ -15,11 +15,12 @@ from nvpol.odmr import (
     format_strain_report,
     load_spectrum,
     model_spectrum,
+    multi_lorentzian,
+    multi_lorentzian_jac,
     polarization_from_amplitudes,
     resonance_metric,
     save_spectrum,
 )
-from nvpol._kernels import multi_lorentzian, multi_lorentzian_jac
 from nvpol.spinops import SpinQuantumNumber
 from nvpol.sweep import StrainDistribution
 
@@ -29,6 +30,36 @@ N14 = SpinQuantumNumber(2)
 def lorentzian(freq, center, fwhm, amplitude):
     hw2 = (0.5 * fwhm) ** 2
     return amplitude * hw2 / ((freq - center) ** 2 + hw2)
+
+
+def multi_lorentzian_loop(params, freq):
+    """Reference for multi_lorentzian: one Lorentzian and one frequency
+    at a time."""
+    out = np.full(freq.size, params[0])
+    for k in range((params.size - 1) // 3):
+        c, w, a = params[1 + 3 * k : 4 + 3 * k]
+        hw2 = 0.25 * w * w
+        for i in range(freq.size):
+            d = freq[i] - c
+            out[i] += a * hw2 / (d * d + hw2)
+    return out
+
+
+def convolved_lineshape(freq, d_es, fwhm, mean, sigma):
+    """Brute-force ESODMR oracle: a dense trapezoid over the strain E of
+    the two peak-normalized Lorentzian branches at d_es +- E times the
+    Gaussian density of E.  The step resolves both the Lorentzian and the
+    Gaussian ten times over, and the range spans 12 sigma either side."""
+    gamma = 0.5 * fwhm
+    step = min(sigma, gamma) / 10.0
+    e = mean + np.arange(-12.0 * sigma, 12.0 * sigma + 0.5 * step, step)
+    density = np.exp(-0.5 * ((e - mean) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    out = np.empty(freq.size)
+    for i, f in enumerate(freq):
+        upper = gamma**2 / ((f - d_es - e) ** 2 + gamma**2)
+        lower = gamma**2 / ((f - d_es + e) ** 2 + gamma**2)
+        out[i] = np.trapezoid(0.5 * (upper + lower) * density, e)
+    return out
 
 
 class TestModelSpectrum:
@@ -52,6 +83,19 @@ class TestModelSpectrum:
         assert np.allclose(
             total, model_spectrum(p1, freq).contrast + model_spectrum(p2, freq).contrast
         )
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(23)
+        freq = np.linspace(1300.0, 1500.0, 97)
+        for n_peaks in (1, 2, 3):
+            params = [rng.uniform(0.0, 0.01)]
+            for _k in range(n_peaks):
+                params += [rng.uniform(1350, 1450), rng.uniform(4, 15), rng.uniform(0.001, 0.05)]
+            params = np.asarray(params)
+            expected = multi_lorentzian_loop(params, freq)
+            got = multi_lorentzian(params, freq)
+            # same terms summed in another order: a few ulps of the peak
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_peak_validation(self):
         with pytest.raises(ValueError):
@@ -257,6 +301,13 @@ class TestLineshape:
         gamma = 0.5 * self.W
         oracle = math.pi * gamma * voigt_profile(freq - self.D, sigma, gamma)
         assert np.abs(spec.contrast - oracle).max() < 2e-3 * oracle.max()
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.5, 5.0, 20.0, 80.0, 200.0])
+    def test_matches_convolution_oracle(self, sigma):
+        freq = self.grid(n=401)
+        spec = esodmr_lineshape(StrainDistribution(sigma=sigma), self.D, self.W, freq)
+        oracle = convolved_lineshape(freq, self.D, self.W, 0.0, sigma)
+        assert np.abs(spec.contrast - oracle).max() < 1e-10 * oracle.max()
 
     def test_split_mean_matches_voigt_pair(self):
         freq = self.grid()
