@@ -122,7 +122,7 @@ def cmd_sweep_b(cfg: RunConfig, args, out_dir: str, seed: int) -> int:
         axis1=cfg.sweep_axis1,
         axis2=cfg.sweep_axis2,
     )
-    result = sweep_field(spec, threads=args.threads, checkpoint_path=args.checkpoint)
+    result = sweep_field(spec, checkpoint_path=args.checkpoint)
     out = _ensure_out(out_dir)
     rows = [
         (
@@ -151,7 +151,7 @@ def cmd_scan_2d(cfg: RunConfig, args, out_dir: str, seed: int) -> int:
         axis1=cfg.sweep_axis1,
         axis2=cfg.sweep_axis2,
     )
-    result = scan_field_strain(spec, threads=args.threads, checkpoint_path=args.checkpoint)
+    result = scan_field_strain(spec, checkpoint_path=args.checkpoint)
     out = _ensure_out(out_dir)
     rows = []
     for i, b in enumerate(result.axis1_values):
@@ -205,9 +205,7 @@ def cmd_temperature(cfg: RunConfig, args, out_dir: str, seed: int) -> int:
 def cmd_fit_odmr(cfg: RunConfig, args, out_dir: str, seed: int) -> int:
     data = load_spectrum(args.spectrum)
     fit = cfg.fit
-    report = fit_spectrum(
-        data, fit.n_peaks, jacobian=fit.jacobian, max_iter=fit.max_iter
-    )
+    report = fit_spectrum(data, fit.n_peaks, max_iter=fit.max_iter)
     polarization = None
     if fit.m_values is not None:
         if len(fit.m_values) != fit.n_peaks:
@@ -286,7 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="YAML run configuration")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--threads", type=int, default=1, help="sweep worker threads")
+    # accepted so that existing command lines still parse
+    common.add_argument(
+        "--threads", type=int, default=1,
+        help="ignored: sweeps run serially, since a point is a few ms of "
+             "GIL-holding numpy work that threads only slow down",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("steady", parents=[common], help="single steady-state solve")
     for name in ("sweep-b", "scan-2d"):

@@ -23,7 +23,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class FitSettings:
     n_peaks: int = 1
-    jacobian: str = "analytic"
     max_iter: int = 200
     m_values: tuple | None = None
     d_es_mhz: float = 1400.0
@@ -210,11 +209,6 @@ def _parse_fit(raw):
     kwargs = {}
     if "n_peaks" in d:
         kwargs["n_peaks"] = _as_int(d.pop("n_peaks"), "n_peaks")
-    if "jacobian" in d:
-        jac = str(d.pop("jacobian"))
-        if jac not in ("analytic", "numeric"):
-            raise ConfigError("fit.jacobian must be 'analytic' or 'numeric'")
-        kwargs["jacobian"] = jac
     if "max_iter" in d:
         kwargs["max_iter"] = _as_int(d.pop("max_iter"), "max_iter")
     if "m_values" in d:

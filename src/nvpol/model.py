@@ -190,7 +190,7 @@ def _ketbra(dim: int, i: int, j: int) -> np.ndarray:
     return op
 
 
-def build_collapse_ops(d: DissipationParams, dims) -> list:
+def build_collapse_ops(d: DissipationParams, dims) -> tuple:
     """Collapse channels as (operator, rate) pairs on the joint space.
 
     Channels: nuclear-conserving optical pump |m_s=0><m_s=+-1| at
@@ -198,7 +198,15 @@ def build_collapse_ops(d: DissipationParams, dims) -> list:
     electron thermalization between every ordered m_s pair at
     1/(2 t1_electron); nuclear thermalization between adjacent m_I at
     1/(2 t1_nuclear).  Zero-rate channels are dropped.
+
+    The channels depend on d and dims alone, so they are built once per
+    pair and shared; the operators are read-only for that reason.
     """
+    return _collapse_ops(d, tuple(int(n) for n in dims))
+
+
+@lru_cache(maxsize=8)
+def _collapse_ops(d: DissipationParams, dims: tuple) -> tuple:
     de, dn = dims
     if de != ELECTRON_SPIN.dim:
         raise ValueError(f"electron dimension must be {ELECTRON_SPIN.dim}, got {de}")
@@ -221,7 +229,9 @@ def build_collapse_ops(d: DissipationParams, dims) -> list:
         for i in range(dn - 1):
             ops.append((embed(_ketbra(dn, i, i + 1), 1, dims), rate_n))
             ops.append((embed(_ketbra(dn, i + 1, i), 1, dims), rate_n))
-    return ops
+    for op, _rate in ops:
+        op.flags.writeable = False
+    return tuple(ops)
 
 
 def liouvillian(ham: OperatorMatrix, collapse: list) -> Liouvillian:

@@ -291,18 +291,17 @@ def _seed_peaks(freq, contrast, n_peaks):
 
 
 def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
-                 jacobian: str = "analytic", max_iter: int = 200) -> FitReport:
+                 max_iter: int = 200) -> FitReport:
     """Least-squares multi-Lorentzian decomposition of a spectrum.
 
     Damped Gauss-Newton with the analytic Jacobian of the Lorentzian
-    model (jacobian="numeric" switches to central differences, kept as a
-    cross-check of the analytic derivatives).  Without an init, two
-    seeding strategies run and the lower-cost fit wins: all peaks at
-    once from prominence-ranked maxima, and greedy peak-by-peak from the
-    largest smoothed residual bump.  The first handles clustered peaks
-    that a greedy residual merges; the second handles weak peaks that
-    prominence ranking buries in noise.  Peaks are returned sorted by
-    center with per-parameter uncertainties from the local curvature.
+    model.  Without an init, two seeding strategies run and the
+    lower-cost fit wins: all peaks at once from prominence-ranked
+    maxima, and greedy peak-by-peak from the largest smoothed residual
+    bump.  The first handles clustered peaks that a greedy residual
+    merges; the second handles weak peaks that prominence ranking buries
+    in noise.  Peaks are returned sorted by center with per-parameter
+    uncertainties from the local curvature.
     """
     if n_peaks < 1:
         raise ValueError("n_peaks must be >= 1")
@@ -312,8 +311,6 @@ def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
             f"need more than {3 * n_peaks + 1} points to fit {n_peaks} peaks, "
             f"got {freq.size}"
         )
-    if jacobian not in ("analytic", "numeric"):
-        raise ValueError("jacobian must be 'analytic' or 'numeric'")
     if init is not None and len(init.peaks) != n_peaks:
         raise ValueError("init peak count does not match n_peaks")
     span = float(freq[-1] - freq[0])
@@ -321,7 +318,6 @@ def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
     # amplitudes beyond the data range mark the flat degenerate direction
     # (huge width compensated by baseline), not a resonance
     amp_cap = max(10.0 * float(y.max() - y.min()), 1e-12)
-    jac_of = (lambda p: multi_lorentzian_jac(p, freq)) if jacobian == "analytic" else None
     # the Lorentzian model evaluates to ~1e-10 relative; residuals below
     # that are noise and count as an exact fit
     floor = max(0.5 * (1e-10 * float(np.linalg.norm(y))) ** 2, 1e-30)
@@ -332,7 +328,10 @@ def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
         def fun(p):
             return multi_lorentzian(p, freq) - y
 
-        return _lm_least_squares(fun, x0, lower, upper, jac=jac_of,
+        def jac(p):
+            return multi_lorentzian_jac(p, freq)
+
+        return _lm_least_squares(fun, x0, lower, upper, jac=jac,
                                  max_iter=max_iter, cost_floor=floor)
 
     if init is not None:

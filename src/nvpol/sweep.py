@@ -1,18 +1,18 @@
 """Parameter-sweep engine: field sweeps, field x strain maps, strain-averaged
 polarization, and temperature curves.
 
-Grid points are independent and may be evaluated concurrently; results
-are merged by index so the output is identical for any thread count.
-Failed points are recorded (NaN values plus a status string) instead of
-aborting the sweep.  An optional append-only checkpoint file makes long
-scans resumable bit for bit.
+Grid points are solved one after another in row-major order; a point
+takes a few milliseconds of mostly GIL-holding numpy calls, so worker
+threads would only add contention.  Failed points are recorded (NaN
+values plus a status string) instead of aborting the sweep.  An optional
+append-only checkpoint file, one row per solved point in grid order,
+makes long scans resumable bit for bit.
 """
 
 import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,8 +179,7 @@ def _load_checkpoint(path: str, fingerprint: str) -> list:
     return rows
 
 
-def _solve_row(point):
-    _flat, i, j, v1, v2, params, diss = point
+def _solve_row(i, j, v1, v2, params, diss):
     try:
         p_n, p_e, res = solve_point(params, diss)
         return (i, j, v1, v2, p_n, p_e, res, "ok")
@@ -188,31 +187,24 @@ def _solve_row(point):
         return (i, j, v1, v2, math.nan, math.nan, math.nan, type(exc).__name__)
 
 
-def _run_grid(spec: SweepSpec, threads: int, checkpoint_path) -> SweepResult:
+def _run_grid(spec: SweepSpec, checkpoint_path) -> SweepResult:
     vals1 = spec.axis1.values()
     vals2 = spec.axis2.values() if spec.axis2 is not None else None
     points = []
-    flat = 0
     for i, v1 in enumerate(vals1):
         p1 = _apply_axis(spec.base, spec.axis1.name, v1)
         if vals2 is None:
-            points.append((flat, i, 0, float(v1), math.nan, p1, spec.dissipation))
-            flat += 1
+            points.append((i, 0, float(v1), math.nan, p1))
         else:
             for j, v2 in enumerate(vals2):
                 p2 = _apply_axis(p1, spec.axis2.name, v2)
-                points.append((flat, i, j, float(v1), float(v2), p2, spec.dissipation))
-                flat += 1
+                points.append((i, j, float(v1), float(v2), p2))
 
-    rows = [None] * len(points)
-    start = 0
+    rows = []
     fh = None
     if checkpoint_path:
         fingerprint = _spec_fingerprint(spec)
-        loaded = _load_checkpoint(checkpoint_path, fingerprint)[: len(points)]
-        for k, row in enumerate(loaded):
-            rows[k] = row
-        start = len(loaded)
+        rows = _load_checkpoint(checkpoint_path, fingerprint)[: len(points)]
         fresh = not os.path.exists(checkpoint_path) or os.path.getsize(checkpoint_path) == 0
         fh = open(checkpoint_path, "a")
         if fresh:
@@ -220,27 +212,12 @@ def _run_grid(spec: SweepSpec, threads: int, checkpoint_path) -> SweepResult:
             fh.write(f"# params {fingerprint}\n")
             fh.flush()
     try:
-        pending = points[start:]
-        if threads > 1 and len(pending) > 1:
-            buffered = {}
-            next_flush = start
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                futures = {ex.submit(_solve_row, pt): pt[0] for pt in pending}
-                for fut in as_completed(futures):
-                    buffered[futures[fut]] = fut.result()
-                    # checkpoint rows stay a strict prefix in flat order
-                    while next_flush in buffered:
-                        rows[next_flush] = buffered.pop(next_flush)
-                        if fh:
-                            fh.write(_format_row(rows[next_flush]))
-                            fh.flush()
-                        next_flush += 1
-        else:
-            for pt in pending:
-                rows[pt[0]] = _solve_row(pt)
-                if fh:
-                    fh.write(_format_row(rows[pt[0]]))
-                    fh.flush()
+        for pt in points[len(rows):]:
+            row = _solve_row(*pt, spec.dissipation)
+            rows.append(row)
+            if fh:
+                fh.write(_format_row(row))
+                fh.flush()
     finally:
         if fh:
             fh.close()
@@ -269,16 +246,16 @@ def _run_grid(spec: SweepSpec, threads: int, checkpoint_path) -> SweepResult:
     )
 
 
-def sweep_field(spec: SweepSpec, threads: int = 1, checkpoint_path=None) -> SweepResult:
+def sweep_field(spec: SweepSpec, checkpoint_path=None) -> SweepResult:
     """1-D sweep of the axial field; records both polarizations per point."""
     if spec.axis1.name != "b_axial_gauss":
         raise ValueError("sweep_field requires axis1 = b_axial_gauss")
     if spec.axis2 is not None:
         raise ValueError("sweep_field takes a single axis")
-    return _run_grid(spec, threads, checkpoint_path)
+    return _run_grid(spec, checkpoint_path)
 
 
-def scan_field_strain(spec: SweepSpec, threads: int = 1, checkpoint_path=None) -> SweepResult:
+def scan_field_strain(spec: SweepSpec, checkpoint_path=None) -> SweepResult:
     """2-D field x strain map, row-major in (B, E)."""
     if spec.axis2 is None or (spec.axis1.name, spec.axis2.name) != (
         "b_axial_gauss",
@@ -287,7 +264,7 @@ def scan_field_strain(spec: SweepSpec, threads: int = 1, checkpoint_path=None) -
         raise ValueError(
             "scan_field_strain requires axes (b_axial_gauss, e_es_mhz)"
         )
-    return _run_grid(spec, threads, checkpoint_path)
+    return _run_grid(spec, checkpoint_path)
 
 
 def strain_averaged_polarization(

@@ -131,11 +131,13 @@ dissipation:
 
 class TestConfigErrors:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        # a misspelled nested key, and a top-level strain section (strain
-        # belongs under synth or in temperature_table rows)
+        # a misspelled nested key, a top-level strain section (strain
+        # belongs under synth or in temperature_table rows), and the
+        # removed fit.jacobian switch
         for k, text in enumerate((
             "system:\n  d_es_mz: 1400.0\n",
             "strain: {mean_mhz: 0.0, sigma_mhz: 50.0, n_quadrature: 32}\n",
+            "fit: {jacobian: numeric}\n",
         )):
             cfg = write_config(tmp_path, text, name=f"run{k}.yaml")
             out = tmp_path / f"out{k}"

@@ -164,6 +164,18 @@ class TestCollapseOps:
         ops = build_collapse_ops(d, (3, 3))
         assert len(ops) == 4 + 6 + 4
 
+    def test_returned_operators_are_read_only(self):
+        # the channels are cached per (DissipationParams, dims); no caller
+        # may change the operators the next caller gets
+        d = DissipationParams(pump_leak_ratio=0.5)
+        ops = build_collapse_ops(d, (3, 3))
+        expected = [op.copy() for op, _rate in ops]
+        for op, _rate in ops:
+            with pytest.raises(ValueError):
+                op[:] = 0.0
+        again = build_collapse_ops(d, [3, 3])
+        assert all(np.array_equal(op, ref) for (op, _rate), ref in zip(again, expected))
+
     def test_pump_only_has_two_forward_channels(self):
         d = DissipationParams(pump_rate=10.0, pump_leak_ratio=0.0,
                               t1_electron=math.inf, t1_nuclear=math.inf)

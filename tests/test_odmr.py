@@ -131,10 +131,9 @@ class TestFitSpectrum:
         assert report.peak_set.baseline == pytest.approx(0.005, rel=1e-6)
         assert report.residual_norm < 1e-8
 
-    @pytest.mark.parametrize("jacobian", ["analytic", "numeric"])
-    def test_noiseless_doublet(self, jacobian):
+    def test_noiseless_doublet(self):
         peaks = [(1380.0, 8.0, 0.02), (1420.0, 10.0, 0.035)]
-        report = fit_spectrum(self.synth(peaks), n_peaks=2, jacobian=jacobian)
+        report = fit_spectrum(self.synth(peaks), n_peaks=2)
         self.assert_peaks_close(report, peaks, rel=1e-5)
 
     def test_noiseless_triplet_and_quartet(self):
@@ -190,8 +189,6 @@ class TestFitSpectrum:
             fit_spectrum(data, n_peaks=0)
         with pytest.raises(ValueError, match="points"):
             fit_spectrum(data, n_peaks=3)
-        with pytest.raises(ValueError, match="jacobian"):
-            fit_spectrum(data, n_peaks=1, jacobian="forward")
 
     def test_iteration_cap_reports_not_converged(self):
         peaks = [(1380.0, 8.0, 0.02), (1420.0, 10.0, 0.035)]

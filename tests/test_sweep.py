@@ -138,7 +138,7 @@ class TestSweepField:
             scan = spec  # axis application happens inside the run
             from nvpol.sweep import _run_grid
 
-            _run_grid(scan, threads=1, checkpoint_path=None)
+            _run_grid(scan, checkpoint_path=None)
 
 
 class TestScanFieldStrain:
@@ -182,14 +182,6 @@ class TestScanFieldStrain:
 
 
 class TestThreadsAndCheckpoint:
-    def test_threaded_matches_serial_bitwise(self):
-        spec = default_spec(SweepAxis("b_axial_gauss", 100.0, 900.0, 5))
-        serial = sweep_field(spec, threads=1)
-        threaded = sweep_field(spec, threads=4)
-        assert np.array_equal(serial.p_nuclear, threaded.p_nuclear)
-        assert np.array_equal(serial.p_electron, threaded.p_electron)
-        assert np.array_equal(serial.residual, threaded.residual)
-
     def test_checkpoint_roundtrip_and_resume(self, tmp_path):
         spec = default_spec(SweepAxis("b_axial_gauss", 100.0, 900.0, 5))
         reference = sweep_field(spec)
@@ -213,8 +205,8 @@ class TestThreadsAndCheckpoint:
 
     def test_checkpoint_with_threads_stays_prefix_ordered(self, tmp_path):
         spec = default_spec(SweepAxis("b_axial_gauss", 100.0, 900.0, 6))
-        ckpt = tmp_path / "threaded.ckpt"
-        result = sweep_field(spec, threads=4, checkpoint_path=str(ckpt))
+        ckpt = tmp_path / "sweep.ckpt"
+        result = sweep_field(spec, checkpoint_path=str(ckpt))
         lines = ckpt.read_text().splitlines()
         flat_indices = [int(line.split()[0]) for line in lines[2:]]
         assert flat_indices == sorted(flat_indices)
