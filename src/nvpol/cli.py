@@ -107,72 +107,48 @@ def _write_sweep_csv(path, header, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _sweep_exit(result) -> int:
-    if 2 * result.n_failed >= result.status.size:
-        return EXIT_PARTIAL
-    return EXIT_OK
+def _run_sweep(cfg: RunConfig, args, out_dir: str, run, stem: str, columns: tuple) -> int:
+    """Run a sweep over the config axes and write <stem>.csv and
+    <stem>_plot.dat, one row per point in row-major order."""
+    spec = SweepSpec(
+        base=cfg.system,
+        dissipation=_resolve_dissipation(cfg),
+        axis1=cfg.sweep_axis1,
+        axis2=cfg.sweep_axis2,
+    )
+    result = run(spec, checkpoint_path=args.checkpoint)
+    out = _ensure_out(out_dir)
+    axes = (result.axis1_values, result.axis2_values)
+    rows = []
+    for idx in np.ndindex(result.status.shape):
+        coords = tuple(_fmt(ax[k]) for ax, k in zip(axes, idx))
+        rows.append(
+            coords + (
+                _fmt(result.p_nuclear[idx]), _fmt(result.p_electron[idx]),
+                _fmt(result.residual[idx]), result.status[idx],
+            )
+        )
+    _write_sweep_csv(
+        os.path.join(out, f"{stem}.csv"),
+        ",".join(columns) + ",nuclear_polarization,electron_polarization,residual,status",
+        rows,
+    )
+    with open(os.path.join(out, f"{stem}_plot.dat"), "w") as fh:
+        for row in rows:
+            fh.write(" ".join(row[: len(columns) + 1]) + "\n")
+    return EXIT_PARTIAL if 2 * result.n_failed >= result.status.size else EXIT_OK
 
 
 def cmd_sweep_b(cfg: RunConfig, args, out_dir: str, seed: int) -> int:
     if cfg.sweep_axis1 is None:
         raise ConfigError("sweep-b requires a sweep.axis1 section")
-    spec = SweepSpec(
-        base=cfg.system,
-        dissipation=_resolve_dissipation(cfg),
-        axis1=cfg.sweep_axis1,
-        axis2=cfg.sweep_axis2,
-    )
-    result = sweep_field(spec, checkpoint_path=args.checkpoint)
-    out = _ensure_out(out_dir)
-    rows = [
-        (
-            _fmt(b), _fmt(result.p_nuclear[i]), _fmt(result.p_electron[i]),
-            _fmt(result.residual[i]), result.status[i],
-        )
-        for i, b in enumerate(result.axis1_values)
-    ]
-    _write_sweep_csv(
-        os.path.join(out, "sweep_b.csv"),
-        "b_gauss,nuclear_polarization,electron_polarization,residual,status",
-        rows,
-    )
-    with open(os.path.join(out, "sweep_b_plot.dat"), "w") as fh:
-        for i, b in enumerate(result.axis1_values):
-            fh.write(f"{_fmt(b)} {_fmt(result.p_nuclear[i])}\n")
-    return _sweep_exit(result)
+    return _run_sweep(cfg, args, out_dir, sweep_field, "sweep_b", ("b_gauss",))
 
 
 def cmd_scan_2d(cfg: RunConfig, args, out_dir: str, seed: int) -> int:
     if cfg.sweep_axis1 is None or cfg.sweep_axis2 is None:
         raise ConfigError("scan-2d requires sweep.axis1 and sweep.axis2")
-    spec = SweepSpec(
-        base=cfg.system,
-        dissipation=_resolve_dissipation(cfg),
-        axis1=cfg.sweep_axis1,
-        axis2=cfg.sweep_axis2,
-    )
-    result = scan_field_strain(spec, checkpoint_path=args.checkpoint)
-    out = _ensure_out(out_dir)
-    rows = []
-    for i, b in enumerate(result.axis1_values):
-        for j, e in enumerate(result.axis2_values):
-            rows.append(
-                (
-                    _fmt(b), _fmt(e), _fmt(result.p_nuclear[i, j]),
-                    _fmt(result.p_electron[i, j]), _fmt(result.residual[i, j]),
-                    result.status[i, j],
-                )
-            )
-    _write_sweep_csv(
-        os.path.join(out, "scan_2d.csv"),
-        "b_gauss,e_es_mhz,nuclear_polarization,electron_polarization,residual,status",
-        rows,
-    )
-    with open(os.path.join(out, "scan_2d_plot.dat"), "w") as fh:
-        for i, b in enumerate(result.axis1_values):
-            for j, e in enumerate(result.axis2_values):
-                fh.write(f"{_fmt(b)} {_fmt(e)} {_fmt(result.p_nuclear[i, j])}\n")
-    return _sweep_exit(result)
+    return _run_sweep(cfg, args, out_dir, scan_field_strain, "scan_2d", ("b_gauss", "e_es_mhz"))
 
 
 def cmd_temperature(cfg: RunConfig, args, out_dir: str, seed: int) -> int:

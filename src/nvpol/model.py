@@ -1,4 +1,5 @@
-"""Excited-state spin model: Hamiltonian, collapse channels, Liouvillian.
+"""Excited-state spin model: Hamiltonian, collapse channels, Liouvillian,
+the steady-state solve of one parameter point, and pump calibration.
 
 All couplings are linear frequencies in MHz, magnetic fields in Gauss,
 relaxation times in microseconds.  The 2*pi conversion to angular
@@ -269,12 +270,17 @@ def liouvillian(ham: OperatorMatrix, collapse: list) -> Liouvillian:
     return Liouvillian(matrix=gen, hilbert_dim=n)
 
 
-def _electron_polarization_at(leak: float, d: DissipationParams, p: NVSystemParams) -> float:
-    diss = replace(d, pump_leak_ratio=leak)
-    ham = build_hamiltonian(p)
-    lv = liouvillian(ham, build_collapse_ops(diss, p.dims))
+def solve_point(params: NVSystemParams, diss: DissipationParams):
+    """Steady-state polarization at one parameter point.
+
+    Returns (nuclear polarization, electron polarization, residual).
+    """
+    ham = build_hamiltonian(params)
+    lv = liouvillian(ham, build_collapse_ops(diss, params.dims))
     report = solver.steady_state(lv)
-    return solver.electron_polarization(report.rho, p.dims)
+    p_n = solver.nuclear_polarization(report.rho, params.dims, params.nuclear_spin)
+    p_e = solver.electron_polarization(report.rho, params.dims)
+    return p_n, p_e, report.residual_norm
 
 
 def calibrate_pump(
@@ -312,14 +318,14 @@ def calibrate_pump(
             achieved=1.0 / 3.0,
         )
     lo, hi = 0.0, 1.0
-    p_lo = _electron_polarization_at(lo, d, p_cal)
+    p_lo = solve_point(p_cal, replace(d, pump_leak_ratio=lo))[1]
     if target_electron_polarization > p_lo:
         raise CalibrationError(
             f"target {target_electron_polarization} unreachable: maximum "
             f"achievable electron polarization is {p_lo:.6f} at leak ratio 0",
             achieved=p_lo,
         )
-    p_hi = _electron_polarization_at(hi, d, p_cal)
+    p_hi = solve_point(p_cal, replace(d, pump_leak_ratio=hi))[1]
     if target_electron_polarization < p_hi:
         raise CalibrationError(
             f"target {target_electron_polarization} unreachable: minimum "
@@ -330,7 +336,7 @@ def calibrate_pump(
     # decreasing function: f(lo) >= 0 >= f(hi)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        p_mid = _electron_polarization_at(mid, d, p_cal)
+        p_mid = solve_point(p_cal, replace(d, pump_leak_ratio=mid))[1]
         if abs(p_mid - target_electron_polarization) <= tol:
             return replace(d, pump_leak_ratio=mid)
         if p_mid > target_electron_polarization:

@@ -108,14 +108,6 @@ def _pack(ps: PeakSet) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def _unpack(params: np.ndarray) -> PeakSet:
-    peaks = []
-    for k in range((params.size - 1) // 3):
-        c, w, a = params[1 + 3 * k : 4 + 3 * k]
-        peaks.append(LorentzianPeak(center=float(c), fwhm=float(w), amplitude=float(a)))
-    return PeakSet(peaks=tuple(peaks), baseline=float(params[0]))
-
-
 def multi_lorentzian(params: np.ndarray, freq: np.ndarray) -> np.ndarray:
     """Sum of Lorentzian dips on a baseline.
 
@@ -152,24 +144,24 @@ def model_spectrum(ps: PeakSet, grid) -> OdmrSpectrum:
     return OdmrSpectrum(frequency=grid, contrast=multi_lorentzian(_pack(ps), grid))
 
 
-def _numeric_jacobian(fun, x, lower, upper, f0):
-    jac = np.empty((f0.size, x.size))
+def _numeric_jacobian(fun, x, lower, upper):
+    """Central differences with a relative step of 1e-6, clipped to the
+    bounds; a parameter pinned by equal bounds gets a zero column."""
+    cols = []
     for i in range(x.size):
         h = 1e-6 * max(abs(x[i]), 1e-8)
         xp = x.copy()
         xm = x.copy()
         xp[i] = min(x[i] + h, upper[i])
         xm[i] = max(x[i] - h, lower[i])
-        if xp[i] == xm[i]:
-            jac[:, i] = 0.0
-            continue
-        jac[:, i] = (fun(xp) - fun(xm)) / (xp[i] - xm[i])
-    return jac
+        cols.append(0.0 if xp[i] == xm[i] else (fun(xp) - fun(xm)) / (xp[i] - xm[i]))
+    return np.column_stack(np.broadcast_arrays(*cols))
 
 
-def _lm_least_squares(fun, x0, lower, upper, jac=None, max_iter=200,
+def _lm_least_squares(fun, x0, lower, upper, jac, max_iter=200,
                       ftol=1e-12, xtol=1e-12, cost_floor=1e-30):
-    """Damped Gauss-Newton (Levenberg-Marquardt) with box clipping.
+    """Damped Gauss-Newton (Levenberg-Marquardt) with box clipping;
+    jac(x) is the Jacobian of the residual vector fun(x).
 
     Marquardt diagonal scaling keeps the damping meaningful when the
     parameters span orders of magnitude.  An accepted step converges on
@@ -184,11 +176,8 @@ def _lm_least_squares(fun, x0, lower, upper, jac=None, max_iter=200,
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    jac_fn = jac if jac is not None else (
-        lambda xx, ff: _numeric_jacobian(fun, xx, lower, upper, ff)
-    )
     r = fun(x)
-    jmat = jac_fn(x, r) if jac is None else jac(x)
+    jmat = jac(x)
     cost = 0.5 * float(r @ r)
     lam = 1e-3
     converged = False
@@ -220,7 +209,7 @@ def _lm_least_squares(fun, x0, lower, upper, jac=None, max_iter=200,
                 lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-14)
                 dcost = cost - cost_new
                 x, r, cost = x_new, r_new, cost_new
-                jmat = jac_fn(x, r) if jac is None else jac(x)
+                jmat = jac(x)
                 accepted = True
                 if cost <= cost_floor:
                     converged = True
@@ -513,11 +502,14 @@ def fit_strain_distribution(data: OdmrSpectrum, d_es: float, natural_fwhm: float
         return esodmr_lineshape(dist, center, natural_fwhm, freq,
                                 amplitude=float(p[0])).contrast - y
 
+    def jac(p):
+        return _numeric_jacobian(fun, p, lower, upper)
+
     # residuals below 1e-9 relative count as an exact fit; voigt_profile
     # is accurate to ~1e-14 relative, far below this floor
     floor = 0.5 * (1e-9 * float(np.linalg.norm(y))) ** 2
     x, cost, jmat, converged, _n = _lm_least_squares(
-        fun, x0, lower, upper, jac=None, max_iter=max_iter,
+        fun, x0, lower, upper, jac=jac, max_iter=max_iter,
         cost_floor=max(floor, 1e-30),
     )
     dof = freq.size - x.size

@@ -7,7 +7,8 @@ import scipy.linalg
 
 from .spinops import SpinQuantumNumber, spin_operators
 
-# relative SVD threshold for the Liouvillian null space
+# null-space threshold for singular values of L, relative to the Frobenius
+# norm of its dissipative part (L + L^H) / 2
 TOL_NULL = 1e-9
 
 DensityMatrix = np.ndarray
@@ -60,8 +61,11 @@ def validate_density_matrix(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-10,
 def steady_state(lv) -> SteadyStateReport:
     """Stationary density matrix of L, with an SVD verdict on uniqueness.
 
-    Singular values below TOL_NULL * sigma_max count as the null space;
-    it must be one-dimensional.  The state itself comes from a direct
+    Singular values up to TOL_NULL * ||(L + L^H) / 2||_F, but at least
+    dim(L) * eps * sigma_max (SVD rounding), count as the null space; it
+    must be one-dimensional.  The coherent part of L is anti-Hermitian, so
+    that norm is the dissipator's alone and the verdict does not depend
+    on the field's scale.  The state itself comes from a direct
     solve of L vec(rho) = 0 with the first row of L replaced by the trace
     condition vec(I)^T vec(rho) = 1.  That row is redundant in L, because
     vec(I)^H L = 0, so the solve loses no equation; unlike the SVD null
@@ -82,11 +86,11 @@ def steady_state(lv) -> SteadyStateReport:
     n = lv.hilbert_dim
     sing = np.linalg.svd(mat, compute_uv=False)
     sigma_max = sing[0] if sing.size else 0.0
-    null_dim = int(np.count_nonzero(sing < TOL_NULL * sigma_max)) if sigma_max > 0 else sing.size
+    dissipative = np.linalg.norm(0.5 * (mat + mat.conj().T))
+    tol = max(TOL_NULL * dissipative, mat.shape[0] * np.finfo(float).eps * sigma_max)
+    null_dim = int(np.count_nonzero(sing <= tol))
     if null_dim == 0:
-        raise NoStationaryState(
-            f"no singular value below {TOL_NULL:g} * sigma_max = {TOL_NULL * sigma_max:.3e}"
-        )
+        raise NoStationaryState(f"no singular value below the null-space threshold {tol:.3e}")
     if null_dim > 1:
         raise DegenerateSteadyState(null_dim)
     system = mat.copy()

@@ -18,21 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .model import (
-    DissipationParams,
-    NVSystemParams,
-    build_collapse_ops,
-    build_hamiltonian,
-    liouvillian,
-)
-from .solver import (
-    SolverError,
-    electron_polarization,
-    nuclear_polarization,
-    steady_state,
-)
+from .model import DissipationParams, NVSystemParams, solve_point
+from .solver import SolverError
 
-AXIS_NAMES = ("b_axial_gauss", "e_es_mhz", "a_perp_mhz", "a_par_mhz")
+AXIS_NAMES = ("b_axial_gauss", "e_es_mhz")
 
 _CHECKPOINT_MAGIC = "# nvpol checkpoint v1"
 
@@ -98,28 +87,7 @@ class SweepResult:
 def _apply_axis(params: NVSystemParams, name: str, value: float) -> NVSystemParams:
     if name == "b_axial_gauss":
         return replace(params, b_field=(0.0, 0.0, float(value)))
-    if name == "e_es_mhz":
-        return replace(params, e_es=float(value))
-    if name in ("a_perp_mhz", "a_par_mhz"):
-        hf = params.hyperfine
-        if hf.matrix is not None:
-            raise ValueError(f"cannot sweep {name} with a full hyperfine matrix")
-        key = "a_perp" if name == "a_perp_mhz" else "a_par"
-        return replace(params, hyperfine=replace(hf, **{key: float(value)}))
-    raise ValueError(f"unknown axis {name!r}")
-
-
-def solve_point(params: NVSystemParams, diss: DissipationParams):
-    """Steady-state polarization at one parameter point.
-
-    Returns (nuclear polarization, electron polarization, residual).
-    """
-    ham = build_hamiltonian(params)
-    lv = liouvillian(ham, build_collapse_ops(diss, params.dims))
-    report = steady_state(lv)
-    p_n = nuclear_polarization(report.rho, params.dims, params.nuclear_spin)
-    p_e = electron_polarization(report.rho, params.dims)
-    return p_n, p_e, report.residual_norm
+    return replace(params, e_es=float(value))
 
 
 def _spec_fingerprint(spec: SweepSpec) -> str:
@@ -153,30 +121,41 @@ def _format_row(row) -> str:
     return f"{i} {j} {nums} {status}\n"
 
 
-def _load_checkpoint(path: str, fingerprint: str) -> list:
+def _load_checkpoint(path: str, fingerprint: str, n_points: int) -> tuple:
+    """(rows, size): the complete rows of a checkpoint file, at most
+    n_points, and the byte length of its header plus those rows.
+
+    A row counts only when it ends in a newline; a run that stops while
+    writing leaves a torn last row, which is dropped so the point is
+    solved again.
+    """
     if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return []
+        return [], 0
     rows = []
-    with open(path) as fh:
-        magic = fh.readline().rstrip("\n")
-        params_line = fh.readline().rstrip("\n")
-        if magic != _CHECKPOINT_MAGIC or not params_line.startswith("# params "):
+    with open(path, "rb") as fh:
+        magic = fh.readline().decode(errors="replace")
+        params_line = fh.readline().decode(errors="replace")
+        if (magic != _CHECKPOINT_MAGIC + "\n" or not params_line.startswith("# params ")
+                or not params_line.endswith("\n")):
             raise ValueError(f"{path} is not a recognized checkpoint file")
         if params_line.split()[-1] != fingerprint:
             raise ValueError(
                 f"checkpoint {path} was written for different sweep parameters"
             )
+        size = fh.tell()
         for line in fh:
             parts = line.split()
-            if len(parts) != 8:
-                break  # partially written trailing line from an interrupted run
+            if len(rows) == n_points or not line.endswith(b"\n") or len(parts) != 8:
+                break
             try:
                 i, j = int(parts[0]), int(parts[1])
                 nums = [float(x) for x in parts[2:7]]
+                status = parts[7].decode()
             except ValueError:
                 break
-            rows.append((i, j, *nums, parts[7]))
-    return rows
+            rows.append((i, j, *nums, status))
+            size += len(line)
+    return rows, size
 
 
 def _solve_row(i, j, v1, v2, params, diss):
@@ -204,10 +183,11 @@ def _run_grid(spec: SweepSpec, checkpoint_path) -> SweepResult:
     fh = None
     if checkpoint_path:
         fingerprint = _spec_fingerprint(spec)
-        rows = _load_checkpoint(checkpoint_path, fingerprint)[: len(points)]
-        fresh = not os.path.exists(checkpoint_path) or os.path.getsize(checkpoint_path) == 0
+        rows, size = _load_checkpoint(checkpoint_path, fingerprint, len(points))
         fh = open(checkpoint_path, "a")
-        if fresh:
+        # drop a torn last row, so the next row starts on a line of its own
+        fh.truncate(size)
+        if size == 0:
             fh.write(_CHECKPOINT_MAGIC + "\n")
             fh.write(f"# params {fingerprint}\n")
             fh.flush()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvpol.model import (
     CalibrationError,
@@ -13,6 +15,7 @@ from nvpol.model import (
     build_hyperfine,
     calibrate_pump,
     liouvillian,
+    solve_point,
 )
 from nvpol.solver import evolve, electron_polarization, steady_state
 from nvpol.spinops import SpinQuantumNumber
@@ -268,6 +271,22 @@ class TestLiouvillian:
             liouvillian(np.zeros((3, 3), dtype=complex), [(np.eye(2), 1.0)])
 
 
+def calibration_point_polarization(pump_rate, leak, t1_electron):
+    """m_s = 0 population at B = 0, a_perp = 0 from the three-level rate
+    balance: (k + g) / (k (1 + 2 r) + 3 g) with g = 1 / (2 T1)."""
+    g = 1.0 / (2.0 * t1_electron)
+    return (pump_rate + g) / (pump_rate * (1.0 + 2.0 * leak) + 3.0 * g)
+
+
+calibration_draws = dict(
+    pump_rate=st.floats(0.1, 100.0),
+    leak=st.floats(0.01, 0.99),
+    t1_electron=st.floats(1.0, 1e4),
+    e_es=st.floats(-300.0, 300.0),
+    a_par=st.floats(-100.0, 100.0),
+)
+
+
 class TestCalibratePump:
     def test_target_one_rejected(self):
         d = DissipationParams()
@@ -307,6 +326,29 @@ class TestCalibratePump:
         d = DissipationParams(pump_rate=0.0)
         with pytest.raises(CalibrationError):
             calibrate_pump(0.8, d, NVSystemParams())
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(**calibration_draws)
+    def test_solve_point_matches_rate_balance(self, pump_rate, leak, t1_electron, e_es, a_par):
+        p = NVSystemParams(e_es=e_es, hyperfine=HyperfineTensor(a_par=a_par, a_perp=0.0))
+        d = DissipationParams(pump_rate=pump_rate, pump_leak_ratio=leak, t1_electron=t1_electron)
+        expected = calibration_point_polarization(pump_rate, leak, t1_electron)
+        assert abs(solve_point(p, d)[1] - expected) <= 1e-12
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(**calibration_draws, b_gauss=st.floats(0.0, 1000.0), a_perp=st.floats(0.0, 60.0))
+    def test_calibrated_leak_meets_target(self, pump_rate, leak, t1_electron, e_es, a_par,
+                                          b_gauss, a_perp):
+        # field and a_perp are set to zero by the calibration itself
+        p = NVSystemParams(e_es=e_es, b_field=(0.0, 0.0, b_gauss),
+                           hyperfine=HyperfineTensor(a_par=a_par, a_perp=a_perp))
+        d = DissipationParams(pump_rate=pump_rate, t1_electron=t1_electron)
+        target = calibration_point_polarization(pump_rate, leak, t1_electron)
+        tol = 1e-6
+        calibrated = calibrate_pump(target, d, p, tol=tol)
+        achieved = calibration_point_polarization(
+            pump_rate, calibrated.pump_leak_ratio, t1_electron)
+        assert abs(achieved - target) <= tol
 
 
 class TestParamValidation:

@@ -100,6 +100,16 @@ class TestSteadyState:
             rho_t = evolve(random_density_matrix(rng, n), lv, t)
             assert np.abs(rho_t - rho_ss).max() < 1e-6
 
+    def test_high_field_matches_evolution(self):
+        # 30 kG: sigma_max of L grows with |H|, while the dissipative gap
+        # that decides uniqueness does not
+        p = NVSystemParams(b_field=(0.0, 0.0, 30000.0))
+        lv = liouvillian(build_hamiltonian(p), build_collapse_ops(DissipationParams(), p.dims))
+        report = steady_state(lv)
+        assert report.null_space_dim == 1
+        rho_t = evolve(np.eye(9) / 9.0, lv, 50.0 / slowest_rate(lv))
+        assert np.abs(rho_t - report.rho).max() < 1e-6
+
     def test_residual_small_on_nv_model(self):
         p = NVSystemParams(b_field=(0.0, 0.0, 500.0))
         d = DissipationParams(pump_leak_ratio=0.1245625)

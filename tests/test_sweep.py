@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nvpol.sweep as sweep_module
 from nvpol.model import DissipationParams, HyperfineTensor, NVSystemParams
 from nvpol.solver import SolverError
 from nvpol.sweep import (
@@ -39,8 +40,10 @@ class TestSweepAxis:
         assert np.array_equal(ax.values(), np.linspace(100.0, 900.0, 5))
 
     def test_bad_name_rejected(self):
-        with pytest.raises(ValueError, match="axis name"):
-            SweepAxis("temperature", 0.0, 1.0, 2)
+        # the hyperfine couplings are set in the system section, not swept
+        for name in ("temperature", "a_perp_mhz", "a_par_mhz"):
+            with pytest.raises(ValueError, match="axis name"):
+                SweepAxis(name, 0.0, 1.0, 2)
 
     def test_bad_count_rejected(self):
         with pytest.raises(ValueError):
@@ -87,10 +90,12 @@ class TestSweepField:
 
     def test_no_transfer_without_flip_flop(self):
         base = NVSystemParams(hyperfine=HyperfineTensor(a_par=40.0, a_perp=0.0))
-        # 3 kG and 10 kG: the Liouvillian norm grows with the field, so a
-        # state taken from an SVD null vector drifts above the bound there
+        # 3 kG to 30 kG: the Liouvillian norm grows with the field, so a
+        # state taken from an SVD null vector drifts above the bound there,
+        # and a null-space threshold scaled by that norm calls it degenerate
         for axis in (SweepAxis("b_axial_gauss", 100.0, 900.0, 3),
-                     SweepAxis("b_axial_gauss", 3000.0, 10000.0, 2)):
+                     SweepAxis("b_axial_gauss", 3000.0, 10000.0, 2),
+                     SweepAxis("b_axial_gauss", 30000.0, 30000.0, 1)):
             spec = SweepSpec(
                 base=base,
                 dissipation=DissipationParams(pump_leak_ratio=LEAK_080),
@@ -126,19 +131,6 @@ class TestSweepField:
         )
         with pytest.raises(ValueError):
             sweep_field(spec2)
-
-    def test_full_matrix_blocks_hyperfine_axis(self):
-        base = NVSystemParams(hyperfine=HyperfineTensor(matrix=np.diag([40.0, 40.0, 40.0])))
-        spec = SweepSpec(
-            base=base,
-            dissipation=DissipationParams(),
-            axis1=SweepAxis("a_perp_mhz", 0.0, 40.0, 2),
-        )
-        with pytest.raises(ValueError, match="full hyperfine"):
-            scan = spec  # axis application happens inside the run
-            from nvpol.sweep import _run_grid
-
-            _run_grid(scan, checkpoint_path=None)
 
 
 class TestScanFieldStrain:
@@ -202,6 +194,42 @@ class TestThreadsAndCheckpoint:
         assert np.array_equal(resumed.p_nuclear, reference.p_nuclear)
         assert np.array_equal(resumed.p_electron, reference.p_electron)
         assert np.array_equal(resumed.residual, reference.residual)
+
+    @pytest.mark.parametrize("cut", ["status", "number"])
+    def test_resume_after_torn_row(self, tmp_path, monkeypatch, cut):
+        spec = default_spec(SweepAxis("b_axial_gauss", 100.0, 900.0, 6))
+        reference = sweep_field(spec)
+        ckpt = tmp_path / "sweep.ckpt"
+        sweep_field(spec, checkpoint_path=str(ckpt))
+        full = ckpt.read_text()
+        lines = full.splitlines(keepends=True)
+        # stop the run while it writes the fourth row: inside its status
+        # ("ok" left as "o") or inside its electron polarization
+        torn = lines[5]
+        if cut == "status":
+            torn = torn[: -len("k\n")]
+        else:
+            torn = " ".join(torn.split()[:5]) + " " + torn.split()[5][:6]
+        ckpt.write_text("".join(lines[:5]) + torn)
+
+        resumed = sweep_field(spec, checkpoint_path=str(ckpt))
+        for name in ("p_nuclear", "p_electron", "residual"):
+            assert np.array_equal(getattr(resumed, name), getattr(reference, name))
+        assert list(resumed.status) == ["ok"] * 6
+        assert ckpt.read_text() == full
+
+        solved = []
+
+        def counting_solve(*args):
+            solved.append(args)
+            return solve_point(*args)
+
+        monkeypatch.setattr(sweep_module, "solve_point", counting_solve)
+        again = sweep_field(spec, checkpoint_path=str(ckpt))
+        assert solved == []
+        assert np.array_equal(again.p_nuclear, reference.p_nuclear)
+        assert list(again.status) == ["ok"] * 6
+        assert ckpt.read_text() == full
 
     def test_checkpoint_with_threads_stays_prefix_ordered(self, tmp_path):
         spec = default_spec(SweepAxis("b_axial_gauss", 100.0, 900.0, 6))
