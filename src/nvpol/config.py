@@ -2,7 +2,8 @@
 
 Every physical key carries its unit in the name (d_es_mhz, b_axial_gauss,
 t1_electron_us) so a unit mistake cannot be expressed silently.  Unknown
-keys are rejected at every nesting level.
+keys are rejected at every nesting level.  Every number must be finite,
+except a relaxation time of .inf, which switches that channel off.
 """
 
 import math
@@ -85,7 +86,13 @@ def _reject_unknown(d, section):
 def _as_float(v, key):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"'{key}' must be a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"'{key}' must be finite, got {v!r}")
+    return x
 
 
 def _as_int(v, key):
@@ -120,16 +127,20 @@ def _parse_system(raw):
     if "hyperfine_matrix_mhz" in d:
         if "a_par_mhz" in d or "a_perp_mhz" in d:
             raise ConfigError("give either hyperfine_matrix_mhz or a_par/a_perp, not both")
-        hf_kwargs["matrix"] = d.pop("hyperfine_matrix_mhz")
+        rows = d.pop("hyperfine_matrix_mhz")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ConfigError("hyperfine_matrix_mhz must be a list of rows")
+        hf_kwargs["matrix"] = [[_as_float(v, "hyperfine_matrix_mhz") for v in row]
+                               for row in rows]
     else:
         if "a_par_mhz" in d:
             hf_kwargs["a_par"] = _as_float(d.pop("a_par_mhz"), "a_par_mhz")
         if "a_perp_mhz" in d:
             hf_kwargs["a_perp"] = _as_float(d.pop("a_perp_mhz"), "a_perp_mhz")
-    if hf_kwargs:
-        kwargs["hyperfine"] = HyperfineTensor(**hf_kwargs)
     _reject_unknown(d, "system")
     try:
+        if hf_kwargs:
+            kwargs["hyperfine"] = HyperfineTensor(**hf_kwargs)
         return NVSystemParams(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from exc
@@ -150,7 +161,10 @@ def _parse_dissipation(raw):
         ("t1_nuclear_us", "t1_nuclear"),
     ):
         if cfg_key in d:
-            kwargs[attr] = _as_float(d.pop(cfg_key), cfg_key)
+            v = d.pop(cfg_key)
+            # an infinite relaxation time switches that channel off
+            off = cfg_key.startswith("t1_") and v == math.inf
+            kwargs[attr] = math.inf if off else _as_float(v, cfg_key)
     _reject_unknown(d, "dissipation")
     try:
         return DissipationParams(**kwargs), target
@@ -324,8 +338,6 @@ def load_config(path) -> RunConfig:
     if "seed" in d:
         seed = _as_int(d.pop("seed"), "seed")
     _reject_unknown(d, "config")
-    if math.isinf(system.d_es) or math.isnan(system.d_es):
-        raise ConfigError("d_es_mhz must be finite")
     return RunConfig(
         system=system,
         dissipation=dissipation,

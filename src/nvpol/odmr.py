@@ -10,10 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import find_peaks
-from scipy.special import voigt_profile
+from scipy.special import wofz
 
 from .spinops import SpinQuantumNumber
 from .sweep import StrainDistribution
+
+# relative cost reduction and relative step at which an accepted
+# Levenberg-Marquardt step counts as converged
+LM_TOL = 1e-12
+
+_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,7 @@ class StrainFitReport:
     converged: bool
     sigma_pinned: bool
     unidentifiable: bool
+    n_iter: int
 
 
 @dataclass(frozen=True)
@@ -144,28 +151,13 @@ def model_spectrum(ps: PeakSet, grid) -> OdmrSpectrum:
     return OdmrSpectrum(frequency=grid, contrast=multi_lorentzian(_pack(ps), grid))
 
 
-def _numeric_jacobian(fun, x, lower, upper):
-    """Central differences with a relative step of 1e-6, clipped to the
-    bounds; a parameter pinned by equal bounds gets a zero column."""
-    cols = []
-    for i in range(x.size):
-        h = 1e-6 * max(abs(x[i]), 1e-8)
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] = min(x[i] + h, upper[i])
-        xm[i] = max(x[i] - h, lower[i])
-        cols.append(0.0 if xp[i] == xm[i] else (fun(xp) - fun(xm)) / (xp[i] - xm[i]))
-    return np.column_stack(np.broadcast_arrays(*cols))
-
-
-def _lm_least_squares(fun, x0, lower, upper, jac, max_iter=200,
-                      ftol=1e-12, xtol=1e-12, cost_floor=1e-30):
+def _lm_least_squares(fun, x0, lower, upper, jac, max_iter=200, cost_floor=1e-30):
     """Damped Gauss-Newton (Levenberg-Marquardt) with box clipping;
     jac(x) is the Jacobian of the residual vector fun(x).
 
     Marquardt diagonal scaling keeps the damping meaningful when the
     parameters span orders of magnitude.  An accepted step converges on
-    a tiny cost reduction (ftol), a tiny step (xtol), or on cost
+    a cost reduction or a step below LM_TOL relative, or on cost
     reaching cost_floor; the caller sets cost_floor to the model's own
     evaluation noise, below which relative tests compare noise against
     noise and never fire.  Absence of any descent step also converges;
@@ -213,8 +205,8 @@ def _lm_least_squares(fun, x0, lower, upper, jac, max_iter=200,
                 accepted = True
                 if cost <= cost_floor:
                     converged = True
-                elif dcost <= ftol * max(cost, 1e-300) or np.all(
-                    np.abs(taken) <= xtol * (np.abs(x) + xtol)
+                elif dcost <= LM_TOL * max(cost, 1e-300) or np.all(
+                    np.abs(taken) <= LM_TOL * (np.abs(x) + LM_TOL)
                 ):
                     converged = True
                 break
@@ -227,6 +219,15 @@ def _lm_least_squares(fun, x0, lower, upper, jac, max_iter=200,
         if converged:
             break
     return x, cost, jmat, converged, n_iter
+
+
+def _curvature_uncertainties(jmat, cost, n_points):
+    """One-sigma parameter uncertainties from the local curvature:
+    sigma^2 = RSS/dof, cov = sigma^2 (J^T J)^+."""
+    dof = n_points - jmat.shape[1]
+    scale = 2.0 * cost / dof if dof > 0 else math.nan
+    cov = scale * np.linalg.pinv(jmat.T @ jmat)
+    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
 def _smoothed(trace):
@@ -337,13 +338,7 @@ def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
         x, cost, jmat, converged, n_iter = min(
             (prominent, greedy), key=lambda r: r[1]
         )
-    # curvature-based uncertainties: sigma^2 = RSS/dof, cov = sigma^2 (J^T J)^+
-    npar = 1 + 3 * n_peaks
-    dof = freq.size - npar
-    rss = 2.0 * cost
-    scale = rss / dof if dof > 0 else math.nan
-    cov = scale * np.linalg.pinv(jmat.T @ jmat)
-    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    sig = _curvature_uncertainties(jmat, cost, freq.size)
     order = np.argsort(x[1::3])
     peaks = []
     uncertainties = []
@@ -358,7 +353,7 @@ def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
         peak_set=PeakSet(peaks=tuple(peaks), baseline=float(x[0])),
         baseline_uncertainty=float(sig[0]),
         peak_uncertainties=tuple(uncertainties),
-        residual_norm=math.sqrt(rss),
+        residual_norm=math.sqrt(2.0 * cost),
         converged=converged,
         pinned=tuple(pinned),
         n_iter=n_iter,
@@ -396,6 +391,43 @@ def polarization_from_amplitudes(amplitudes, m_values, nuclear_spin: SpinQuantum
     return PolarizationEstimate(p=p, uncertainty=float(np.sqrt(((dp * sig) ** 2).sum())))
 
 
+def _voigt(x, sigma: float, gamma: float):
+    """Voigt profile V(x; sigma, gamma), dV/dx and dV/dsigma from one
+    Faddeeva evaluation.
+
+    With z = (x + i gamma) / (sigma sqrt 2) and c = 1 / (sigma sqrt(2 pi)),
+    V = c Re w(z); w'(z) = -2 z w + 2i / sqrt(pi) (Abramowitz & Stegun
+    7.1.20) gives dV/dx = c Re w' / (sigma sqrt 2) and
+    dV/dsigma = -c Re(w + z w') / sigma.  At sigma = 0, V is the
+    Lorentzian and dV/dsigma is exactly 0 (V is even in sigma).
+
+    When Im z = gamma / (sigma sqrt 2) > 18, w + z w' is O(|z|^-3) made
+    of O(|z|) terms (dV/dsigma would be 15 % off at sigma/gamma = 4e-4),
+    so w' and w + z w' come from the asymptotic series of w (A&S
+    7.1.23) instead.  Against mpmath every output is within 1e-9 of its
+    largest value for sigma/gamma from 1e-8 to 80.
+    """
+    if sigma == 0.0:
+        den = x * x + gamma * gamma
+        v = gamma / (math.pi * den)
+        return v, -2.0 * x * v / den, np.zeros_like(v)
+    s = sigma * math.sqrt(2.0)
+    z = (x + 1j * gamma) / s
+    w = wofz(z)
+    if gamma <= 18.0 * s:
+        dw = 2j / _SQRT_PI - 2.0 * z * w
+        w_zdw = w + z * dw
+    else:
+        # w ~ (i / sqrt(pi)) sum_n (2n - 1)!! / 2^n z^-(2n + 1), term by term
+        u = 1.0 / (z * z)
+        dw = (-1j / _SQRT_PI) * u * (1.0 + u * (1.5 + u * (3.75 + u * (13.125 + u * 59.0625))))
+        w_zdw = (-1j / _SQRT_PI) * (u / z) * (
+            1.0 + u * (3.0 + u * (11.25 + u * (52.5 + u * 295.3125)))
+        )
+    c = 1.0 / (s * _SQRT_PI)
+    return c * w.real, c * dw.real / s, -c * w_zdw.real / sigma
+
+
 def esodmr_lineshape(dist: StrainDistribution, d_es: float, natural_fwhm: float,
                      grid, amplitude: float = 1.0) -> OdmrSpectrum:
     """Zero-field ESODMR lineshape: branches at d_es +- E, E ~ N(mean, sigma).
@@ -406,8 +438,8 @@ def esodmr_lineshape(dist: StrainDistribution, d_es: float, natural_fwhm: float,
 
         y(f) = (pi gamma / 2) [V(f - d_es - mean) + V(f - d_es + mean)]
 
-    scipy's voigt_profile evaluates V in closed form through the
-    Faddeeva function; at sigma = 0 it is the Lorentzian itself.  No
+    V is evaluated in closed form through the Faddeeva function
+    (:func:`_voigt`); at sigma = 0 it is the Lorentzian itself.  No
     quadrature is involved, so dist.n_quadrature is not used.
     """
     if not natural_fwhm > 0:
@@ -415,10 +447,10 @@ def esodmr_lineshape(dist: StrainDistribution, d_es: float, natural_fwhm: float,
     grid = np.asarray(grid, dtype=float)
     gamma = 0.5 * natural_fwhm
     x = grid - d_es
-    y = 0.5 * math.pi * gamma * (
-        voigt_profile(x - dist.mean, dist.sigma, gamma)
-        + voigt_profile(x + dist.mean, dist.sigma, gamma)
-    )
+    v = _voigt(x - dist.mean, dist.sigma, gamma)[0]
+    # at mean strain 0 the branches coincide, and 2 V is exactly V + V
+    pair = 2.0 * v if dist.mean == 0.0 else v + _voigt(x + dist.mean, dist.sigma, gamma)[0]
+    y = 0.5 * math.pi * gamma * pair
     return OdmrSpectrum(frequency=grid, contrast=amplitude * y)
 
 
@@ -462,14 +494,13 @@ def fit_strain_distribution(data: OdmrSpectrum, d_es: float, natural_fwhm: float
         raise ValueError(
             f"spectrum window [{freq[0]:g}, {freq[-1]:g}] MHz does not cover d_es = {d_es:g}"
         )
-    nq = 32
     peak = float(y.max())
     if peak - float(y.min()) <= 1e-300 or peak <= 0:
         return StrainFitReport(
-            dist=StrainDistribution(mean=0.0, sigma=0.0, n_quadrature=nq),
+            dist=StrainDistribution(mean=0.0, sigma=0.0),
             amplitude=0.0, d_es=d_es, sigma_uncertainty=math.nan,
             amplitude_uncertainty=math.nan, residual_norm=float(np.linalg.norm(y)),
-            converged=True, sigma_pinned=True, unidentifiable=True,
+            converged=True, sigma_pinned=True, unidentifiable=True, n_iter=0,
         )
     # Gaussian part of the observed width via Olivero-Longbothum:
     # w_voigt ~ 0.5346 w_l + sqrt(0.2166 w_l^2 + w_g^2)
@@ -481,7 +512,7 @@ def fit_strain_distribution(data: OdmrSpectrum, d_es: float, natural_fwhm: float
     # peak height of the unit-amplitude model at the band center: grid[0] = d_es
     h0 = float(
         esodmr_lineshape(
-            StrainDistribution(mean=0.0, sigma=sigma0, n_quadrature=nq),
+            StrainDistribution(mean=0.0, sigma=sigma0),
             d_es, natural_fwhm, d_es + np.arange(8.0) * natural_fwhm,
         ).contrast[0]
     )
@@ -495,30 +526,34 @@ def fit_strain_distribution(data: OdmrSpectrum, d_es: float, natural_fwhm: float
         x0 = np.array([amp0, sigma0])
         lower = np.array([0.0, 0.0])
         upper = np.array([np.inf, span])
+    gamma = 0.5 * natural_fwhm
 
     def fun(p):
         center = p[2] if fit_d_es else d_es
-        dist = StrainDistribution(mean=0.0, sigma=float(p[1]), n_quadrature=nq)
+        dist = StrainDistribution(mean=0.0, sigma=float(p[1]))
         return esodmr_lineshape(dist, center, natural_fwhm, freq,
                                 amplitude=float(p[0])).contrast - y
 
     def jac(p):
-        return _numeric_jacobian(fun, p, lower, upper)
+        # with mean strain 0 both branches coincide: model = A pi gamma V(f - d_es)
+        center = p[2] if fit_d_es else d_es
+        v, dv_dx, dv_dsigma = _voigt(freq - center, float(p[1]), gamma)
+        cols = [math.pi * gamma * v, p[0] * math.pi * gamma * dv_dsigma]
+        if fit_d_es:
+            cols.append(-p[0] * math.pi * gamma * dv_dx)
+        return np.column_stack(cols)
 
-    # residuals below 1e-9 relative count as an exact fit; voigt_profile
-    # is accurate to ~1e-14 relative, far below this floor
+    # residuals below 1e-9 relative count as an exact fit; the Faddeeva
+    # evaluation is accurate to ~1e-14 relative, far below this floor
     floor = 0.5 * (1e-9 * float(np.linalg.norm(y))) ** 2
-    x, cost, jmat, converged, _n = _lm_least_squares(
+    x, cost, jmat, converged, n_iter = _lm_least_squares(
         fun, x0, lower, upper, jac=jac, max_iter=max_iter,
         cost_floor=max(floor, 1e-30),
     )
-    dof = freq.size - x.size
-    scale = 2.0 * cost / dof if dof > 0 else math.nan
-    cov = scale * np.linalg.pinv(jmat.T @ jmat)
-    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    sig = _curvature_uncertainties(jmat, cost, freq.size)
     amp_hat, sigma_hat = float(x[0]), float(x[1])
     return StrainFitReport(
-        dist=StrainDistribution(mean=0.0, sigma=sigma_hat, n_quadrature=nq),
+        dist=StrainDistribution(mean=0.0, sigma=sigma_hat),
         amplitude=amp_hat,
         d_es=float(x[2]) if fit_d_es else d_es,
         sigma_uncertainty=float(sig[1]),
@@ -527,6 +562,7 @@ def fit_strain_distribution(data: OdmrSpectrum, d_es: float, natural_fwhm: float
         converged=converged,
         sigma_pinned=sigma_hat == 0.0,
         unidentifiable=amp_hat <= 1e-12,
+        n_iter=n_iter,
     )
 
 
@@ -607,6 +643,7 @@ def format_strain_report(report: StrainFitReport) -> str:
     lines = [
         f"converged {'true' if report.converged else 'false'}",
         "residual_norm %.17g" % report.residual_norm,
+        "iterations %d" % report.n_iter,
         "sigma_mhz %.17g %.17g" % (report.dist.sigma, report.sigma_uncertainty),
         "amplitude %.17g %.17g" % (report.amplitude, report.amplitude_uncertainty),
         "d_es_mhz %.17g" % report.d_es,

@@ -10,6 +10,11 @@ from .spinops import SpinQuantumNumber, spin_operators
 # null-space threshold for singular values of L, relative to the Frobenius
 # norm of its dissipative part (L + L^H) / 2
 TOL_NULL = 1e-9
+# tolerances of validate_density_matrix: Hermiticity, trace, and the most
+# negative eigenvalue accepted
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-10
+PSD_TOL = 1e-9
 
 DensityMatrix = np.ndarray
 
@@ -40,21 +45,20 @@ class SteadyStateReport:
     null_space_dim: int
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-10,
-                            psd_tol=1e-9) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Check Hermiticity, unit trace, and positivity up to solver tolerance.
 
-    Positivity is validated, never enforced: eigenvalues below -psd_tol
+    Positivity is validated, never enforced: eigenvalues below -PSD_TOL
     raise, because projecting them away would mask solver bugs.
     """
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
+    if np.abs(rho - rho.conj().T).max() > HERM_TOL:
         raise SolverError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
+    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
         raise SolverError(f"density matrix trace {np.trace(rho)} is not 1")
     evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if evals.min() < -psd_tol:
+    if evals.min() < -PSD_TOL:
         raise SolverError(
-            f"density matrix has eigenvalue {evals.min():.3e} below -{psd_tol}"
+            f"density matrix has eigenvalue {evals.min():.3e} below -{PSD_TOL}"
         )
 
 

@@ -147,6 +147,30 @@ class TestConfigErrors:
             assert "unknown key" in record["detail"]
             assert not out.exists()
 
+    def test_non_finite_and_non_numeric_values_exit_2(self, tmp_path, capsys):
+        hyperfine = 'system:\n  hyperfine_matrix_mhz: [["40", 0, 0], [0, "40", 0], [0, 0, true]]\n'
+        for k, (text, key) in enumerate((
+            ("system:\n  b_axial_gauss: .nan\n", "b_axial_gauss"),
+            ("system:\n  a_perp_mhz: .inf\n", "a_perp_mhz"),
+            ("system:\n  d_es_mhz: -.inf\n", "d_es_mhz"),
+            ("system:\n  b_axial_gauss: 1" + "0" * 400 + "\n", "b_axial_gauss"),
+            ("dissipation:\n  pump_rate_mhz: .inf\n", "pump_rate_mhz"),
+            ("dissipation:\n  t1_electron_us: .nan\n", "t1_electron_us"),
+            (hyperfine, "hyperfine_matrix_mhz"),
+            (STEADY_YAML + "sweep:\n  axis1: {parameter: b_axial_gauss, start: .nan, "
+             "stop: 600.0, count: 3}\n", "sweep.axis1.start"),
+        )):
+            cfg = write_config(tmp_path, text, name=f"run{k}.yaml")
+            out = tmp_path / f"out{k}"
+            ckpt = tmp_path / f"ckpt{k}.txt"
+            args = ["sweep-b", "--checkpoint", str(ckpt)] if "sweep" in text else ["steady"]
+            assert main(args + ["--config", cfg, "--out", str(out)]) == 2
+            record = json.loads(capsys.readouterr().err.splitlines()[0])
+            assert record["error"] == "ConfigError"
+            assert f"'{key}'" in record["detail"]
+            assert not out.exists()
+            assert not ckpt.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.yaml")
         assert main(["steady", "--config", missing, "--out", str(tmp_path)]) == 2

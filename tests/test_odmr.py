@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.special import voigt_profile
 
+import nvpol.odmr
 from nvpol.odmr import (
     LorentzianPeak,
     OdmrSpectrum,
@@ -58,7 +60,7 @@ def convolved_lineshape(freq, d_es, fwhm, mean, sigma):
     for i, f in enumerate(freq):
         upper = gamma**2 / ((f - d_es - e) ** 2 + gamma**2)
         lower = gamma**2 / ((f - d_es + e) ** 2 + gamma**2)
-        out[i] = np.trapezoid(0.5 * (upper + lower) * density, e)
+        out[i] = trapezoid(0.5 * (upper + lower) * density, e)
     return out
 
 
@@ -228,6 +230,85 @@ class TestAnalyticJacobian:
                 assert np.abs(jac[:, col] - num).max() < 1e-6
 
 
+def strain_fit_problem(monkeypatch, data, d_es, fwhm, fit_d_es):
+    """Run fit_strain_distribution and return the residual function and
+    Jacobian it handed to the least-squares core."""
+    seen = {}
+    core = nvpol.odmr._lm_least_squares
+
+    def spy(fun, x0, lower, upper, jac, **kwargs):
+        seen.update(fun=fun, jac=jac)
+        return core(fun, x0, lower, upper, jac, **kwargs)
+
+    monkeypatch.setattr(nvpol.odmr, "_lm_least_squares", spy)
+    fit_strain_distribution(data, d_es, fwhm, fit_d_es=fit_d_es)
+    return seen["fun"], seen["jac"]
+
+
+def mp_voigt_and_derivatives(x, sigma, gamma):
+    """V, dV/dx and dV/dsigma at one point in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    g = mp.mpf(gamma)
+
+    def v(xx, ss):
+        z = (xx + 1j * g) / (ss * mp.sqrt(2))
+        return mp.re(mp.exp(-z * z) * mp.erfc(-1j * z)) / (ss * mp.sqrt(2 * mp.pi))
+
+    xx, ss = mp.mpf(x), mp.mpf(sigma)
+    return (float(v(xx, ss)), float(mp.diff(lambda t: v(t, ss), xx)),
+            float(mp.diff(lambda t: v(xx, t), ss)))
+
+
+class TestVoigtJacobian:
+    D, W = 1400.0, 5.0
+    GAMMA = 2.5
+
+    def data(self, sigma):
+        freq = np.linspace(self.D - 60.0 - 6.0 * sigma, self.D + 60.0 + 6.0 * sigma, 301)
+        spec = esodmr_lineshape(StrainDistribution(sigma=sigma), self.D + 0.7, self.W,
+                                freq, amplitude=0.04)
+        return OdmrSpectrum(frequency=freq, contrast=spec.contrast)
+
+    @pytest.mark.parametrize("fit_d_es", [False, True])
+    @pytest.mark.parametrize("ratio", [0.02, 0.4, 2.0, 8.0, 80.0])
+    def test_matches_central_differences(self, monkeypatch, ratio, fit_d_es):
+        sigma = ratio * self.GAMMA
+        fun, jac = strain_fit_problem(monkeypatch, self.data(sigma), self.D, self.W,
+                                      fit_d_es)
+        p = np.array([0.037, 1.1 * sigma, self.D + 0.4][: 3 if fit_d_es else 2])
+        analytic = jac(p)
+        steps = [1e-6 * p[0], 1e-5 * p[1], 1e-5 * (p[1] + self.GAMMA)]
+        for col in range(p.size):
+            dp = np.zeros_like(p)
+            dp[col] = steps[col]
+            num = (fun(p + dp) - fun(p - dp)) / (2.0 * dp[col])
+            assert np.abs(analytic[:, col] - num).max() < 1e-6 * np.abs(num).max()
+
+    @pytest.mark.parametrize("fit_d_es", [False, True])
+    def test_sigma_column_is_zero_at_zero_sigma(self, monkeypatch, fit_d_es):
+        _fun, jac = strain_fit_problem(monkeypatch, self.data(2.0), self.D, self.W,
+                                       fit_d_es)
+        p = np.array([0.04, 0.0, self.D][: 3 if fit_d_es else 2])
+        cols = jac(p)
+        assert not np.any(cols[:, 1])
+        assert np.all(np.isfinite(cols))
+        assert np.all(cols[:, 0] > 0)
+
+    @pytest.mark.parametrize("ratio", [1e-6, 4e-4, 0.02, 0.039, 0.4, 8.0])
+    def test_matches_mpmath(self, ratio):
+        # covers both sides of the helper's switch to the asymptotic
+        # series (sigma/gamma = 1/(18 sqrt 2) = 0.0393), where the closed
+        # forms cancel
+        sigma = ratio * self.GAMMA
+        x = np.linspace(-20.0, 20.0, 41)
+        got = np.array(nvpol.odmr._voigt(x, sigma, self.GAMMA)).T
+        want = np.array([mp_voigt_and_derivatives(xi, sigma, self.GAMMA) for xi in x])
+        for k in range(3):
+            assert np.abs(got[:, k] - want[:, k]).max() < 1e-9 * np.abs(want[:, k]).max()
+
+
 class TestPolarizationFromAmplitudes:
     def test_pure_states(self):
         m = (1.0, 0.0, -1.0)
@@ -297,7 +378,7 @@ class TestLineshape:
         spec = esodmr_lineshape(StrainDistribution(sigma=sigma), self.D, self.W, freq)
         gamma = 0.5 * self.W
         oracle = math.pi * gamma * voigt_profile(freq - self.D, sigma, gamma)
-        assert np.abs(spec.contrast - oracle).max() < 2e-3 * oracle.max()
+        assert np.abs(spec.contrast - oracle).max() < 1e-12 * oracle.max()
 
     @pytest.mark.parametrize("sigma", [1.0, 2.5, 5.0, 20.0, 80.0, 200.0])
     def test_matches_convolution_oracle(self, sigma):
@@ -316,7 +397,7 @@ class TestLineshape:
             voigt_profile(freq - self.D - mean, sigma, gamma)
             + voigt_profile(freq - self.D + mean, sigma, gamma)
         )
-        assert np.abs(spec.contrast - oracle).max() < 2e-3 * oracle.max()
+        assert np.abs(spec.contrast - oracle).max() < 1e-12 * oracle.max()
 
     def test_width_grows_with_sigma(self):
         from nvpol.odmr import _fwhm_interpolated
@@ -392,6 +473,14 @@ class TestFitStrainDistribution:
         assert refined.d_es == pytest.approx(true_d, abs=0.1)
         assert fixed.d_es == 1400.0
         assert refined.dist.sigma == pytest.approx(25.0, rel=1e-2)
+
+    def test_lorentzian_line_gives_vanishing_sigma(self):
+        # noiseless data with no strain: sigma walks down towards 0, where
+        # the Jacobian's sigma column must stay accurate
+        report = fit_strain_distribution(self.synth(0.0), self.D, self.W)
+        assert report.converged
+        assert report.dist.sigma < 1e-3
+        assert report.amplitude == pytest.approx(0.04, rel=1e-9)
 
 
 class TestResonanceMetric:
@@ -518,3 +607,5 @@ class TestReportFormatting:
         text = format_strain_report(report)
         assert "sigma" in text
         assert "converged true" in text
+        assert report.n_iter > 0
+        assert f"\niterations {report.n_iter}\n" in text
