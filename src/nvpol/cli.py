@@ -11,7 +11,6 @@ non-convergence, 4 partial sweep failure (half or more points failed).
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -19,13 +18,7 @@ import numpy as np
 
 from . import odmr
 from .config import ConfigError, RunConfig, load_config
-from .model import (
-    CalibrationError,
-    build_collapse_ops,
-    build_hamiltonian,
-    calibrate_pump,
-    liouvillian,
-)
+from .model import CalibrationError, calibrate_pump, solve_point
 from .odmr import (
     esodmr_lineshape,
     fit_spectrum,
@@ -37,18 +30,8 @@ from .odmr import (
     polarization_from_amplitudes,
     save_spectrum,
 )
-from .solver import (
-    SolverError,
-    electron_polarization,
-    nuclear_polarization,
-    steady_state,
-)
-from .sweep import (
-    SweepSpec,
-    scan_field_strain,
-    strain_averaged_polarization,
-    sweep_field,
-)
+from .solver import SolverError
+from .sweep import SweepSpec, scan_field_strain, sweep_field, temperature_curve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,16 +60,11 @@ def _resolve_dissipation(cfg: RunConfig):
 
 
 def cmd_steady(cfg: RunConfig, args, out_dir: str, seed: int) -> int:
-    diss = _resolve_dissipation(cfg)
-    ham = build_hamiltonian(cfg.system)
-    lv = liouvillian(ham, build_collapse_ops(diss, cfg.system.dims))
-    report = steady_state(lv)
-    p_n = nuclear_polarization(report.rho, cfg.system.dims, cfg.system.nuclear_spin)
-    p_e = electron_polarization(report.rho, cfg.system.dims)
+    p_n, p_e, report = solve_point(cfg.system, _resolve_dissipation(cfg))
     path = os.path.join(_ensure_out(out_dir), "steady_state.txt")
     with open(path, "w") as fh:
         fh.write("# steady-state report\n")
-        fh.write(f"hilbert_dim {lv.hilbert_dim}\n")
+        fh.write(f"hilbert_dim {report.rho.shape[0]}\n")
         fh.write(f"null_space_dim {report.null_space_dim}\n")
         fh.write(f"residual_norm {_fmt(report.residual_norm)}\n")
         fh.write(f"p_nuclear {_fmt(p_n)}\n")
@@ -100,16 +78,26 @@ def cmd_steady(cfg: RunConfig, args, out_dir: str, seed: int) -> int:
     return EXIT_OK
 
 
-def _write_sweep_csv(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+def _write_table(out_dir: str, stem: str, columns: tuple, rows: list, n_plot: int) -> int:
+    """Write <stem>.csv (a header, then one row per point) and
+    <stem>_plot.dat (the first n_plot fields of each row).  The last
+    field of a row is its status; returns EXIT_PARTIAL when half or more
+    of the rows failed."""
+    out = _ensure_out(out_dir)
+    with open(os.path.join(out, f"{stem}.csv"), "w") as fh:
+        fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
+    with open(os.path.join(out, f"{stem}_plot.dat"), "w") as fh:
+        for row in rows:
+            fh.write(" ".join(row[:n_plot]) + "\n")
+    n_failed = sum(row[-1] != "ok" for row in rows)
+    return EXIT_PARTIAL if 2 * n_failed >= len(rows) else EXIT_OK
 
 
-def _run_sweep(cfg: RunConfig, args, out_dir: str, run, stem: str, columns: tuple) -> int:
-    """Run a sweep over the config axes and write <stem>.csv and
-    <stem>_plot.dat, one row per point in row-major order."""
+def _run_sweep(cfg: RunConfig, args, out_dir: str, run, stem: str, axes: tuple) -> int:
+    """Run a sweep over the config axes and write its table, one row per
+    point in row-major order."""
     spec = SweepSpec(
         base=cfg.system,
         dissipation=_resolve_dissipation(cfg),
@@ -117,26 +105,18 @@ def _run_sweep(cfg: RunConfig, args, out_dir: str, run, stem: str, columns: tupl
         axis2=cfg.sweep_axis2,
     )
     result = run(spec, checkpoint_path=args.checkpoint)
-    out = _ensure_out(out_dir)
-    axes = (result.axis1_values, result.axis2_values)
+    values = (result.axis1_values, result.axis2_values)
     rows = []
     for idx in np.ndindex(result.status.shape):
-        coords = tuple(_fmt(ax[k]) for ax, k in zip(axes, idx))
+        coords = tuple(_fmt(v[k]) for v, k in zip(values, idx))
         rows.append(
             coords + (
                 _fmt(result.p_nuclear[idx]), _fmt(result.p_electron[idx]),
                 _fmt(result.residual[idx]), result.status[idx],
             )
         )
-    _write_sweep_csv(
-        os.path.join(out, f"{stem}.csv"),
-        ",".join(columns) + ",nuclear_polarization,electron_polarization,residual,status",
-        rows,
-    )
-    with open(os.path.join(out, f"{stem}_plot.dat"), "w") as fh:
-        for row in rows:
-            fh.write(" ".join(row[: len(columns) + 1]) + "\n")
-    return EXIT_PARTIAL if 2 * result.n_failed >= result.status.size else EXIT_OK
+    columns = axes + ("nuclear_polarization", "electron_polarization", "residual", "status")
+    return _write_table(out_dir, stem, columns, rows, len(axes) + 1)
 
 
 def cmd_sweep_b(cfg: RunConfig, args, out_dir: str, seed: int) -> int:
@@ -154,28 +134,11 @@ def cmd_scan_2d(cfg: RunConfig, args, out_dir: str, seed: int) -> int:
 def cmd_temperature(cfg: RunConfig, args, out_dir: str, seed: int) -> int:
     if cfg.temperature_table is None:
         raise ConfigError("temperature requires a temperature_table section")
-    diss = _resolve_dissipation(cfg)
-    rows = []
-    n_failed = 0
-    for temp, dist in cfg.temperature_table:
-        try:
-            p_n = strain_averaged_polarization(cfg.system, diss, dist)
-            rows.append((_fmt(temp), _fmt(p_n), "ok"))
-        except SolverError as exc:
-            n_failed += 1
-            rows.append((_fmt(temp), _fmt(math.nan), type(exc).__name__))
-    out = _ensure_out(out_dir)
-    _write_sweep_csv(
-        os.path.join(out, "temperature.csv"),
-        "temperature_k,nuclear_polarization,status",
-        rows,
+    curve = temperature_curve(cfg.system, _resolve_dissipation(cfg), cfg.temperature_table)
+    rows = [(_fmt(temp), _fmt(p_n), status) for temp, p_n, status in curve]
+    return _write_table(
+        out_dir, "temperature", ("temperature_k", "nuclear_polarization", "status"), rows, 2
     )
-    with open(os.path.join(out, "temperature_plot.dat"), "w") as fh:
-        for temp, p_n, _status in rows:
-            fh.write(f"{temp} {p_n}\n")
-    if 2 * n_failed >= len(cfg.temperature_table):
-        return EXIT_PARTIAL
-    return EXIT_OK
 
 
 def cmd_fit_odmr(cfg: RunConfig, args, out_dir: str, seed: int) -> int:

@@ -273,14 +273,15 @@ def liouvillian(ham: OperatorMatrix, collapse: list) -> Liouvillian:
 def solve_point(params: NVSystemParams, diss: DissipationParams):
     """Steady-state polarization at one parameter point.
 
-    Returns (nuclear polarization, electron polarization, residual).
+    Returns (nuclear polarization, electron polarization,
+    SteadyStateReport).
     """
     ham = build_hamiltonian(params)
     lv = liouvillian(ham, build_collapse_ops(diss, params.dims))
     report = solver.steady_state(lv)
     p_n = solver.nuclear_polarization(report.rho, params.dims, params.nuclear_spin)
     p_e = solver.electron_polarization(report.rho, params.dims)
-    return p_n, p_e, report.residual_norm
+    return p_n, p_e, report
 
 
 def calibrate_pump(

@@ -406,8 +406,12 @@ def _voigt(x, sigma: float, gamma: float):
     so w' and w + z w' come from the asymptotic series of w (A&S
     7.1.23) instead.  Against mpmath every output is within 1e-9 of its
     largest value for sigma/gamma from 1e-8 to 80.
+
+    For sigma <= 1e-100 gamma the sigma = 0 values are returned: they
+    differ from the Voigt ones by O((sigma/gamma)^2), while z * z would
+    overflow below sigma/gamma ~ 1e-154 and z itself at subnormal sigma.
     """
-    if sigma == 0.0:
+    if sigma <= 1e-100 * gamma:
         den = x * x + gamma * gamma
         v = gamma / (math.pi * den)
         return v, -2.0 * x * v / den, np.zeros_like(v)

@@ -86,7 +86,8 @@ class SweepResult:
 
 def _apply_axis(params: NVSystemParams, name: str, value: float) -> NVSystemParams:
     if name == "b_axial_gauss":
-        return replace(params, b_field=(0.0, 0.0, float(value)))
+        bx, by, _bz = params.b_field
+        return replace(params, b_field=(bx, by, float(value)))
     return replace(params, e_es=float(value))
 
 
@@ -160,8 +161,8 @@ def _load_checkpoint(path: str, fingerprint: str, n_points: int) -> tuple:
 
 def _solve_row(i, j, v1, v2, params, diss):
     try:
-        p_n, p_e, res = solve_point(params, diss)
-        return (i, j, v1, v2, p_n, p_e, res, "ok")
+        p_n, p_e, report = solve_point(params, diss)
+        return (i, j, v1, v2, p_n, p_e, report.residual_norm, "ok")
     except SolverError as exc:
         return (i, j, v1, v2, math.nan, math.nan, math.nan, type(exc).__name__)
 
@@ -227,7 +228,8 @@ def _run_grid(spec: SweepSpec, checkpoint_path) -> SweepResult:
 
 
 def sweep_field(spec: SweepSpec, checkpoint_path=None) -> SweepResult:
-    """1-D sweep of the axial field; records both polarizations per point."""
+    """1-D sweep of the axial field, keeping the base field's transverse
+    components; records both polarizations per point."""
     if spec.axis1.name != "b_axial_gauss":
         raise ValueError("sweep_field requires axis1 = b_axial_gauss")
     if spec.axis2 is not None:
@@ -257,7 +259,7 @@ def strain_averaged_polarization(
     Point failures propagate as SolverError.
     """
     if dist.sigma == 0.0:
-        p_n, _p_e, _res = solve_point(replace(params, e_es=dist.mean), diss)
+        p_n, _p_e, _report = solve_point(replace(params, e_es=dist.mean), diss)
         return p_n
     nodes, weights = hermgauss(dist.n_quadrature)
     e_values = dist.mean + math.sqrt(2.0) * dist.sigma * nodes
@@ -265,7 +267,7 @@ def strain_averaged_polarization(
     total = 0.0
     for e_k, w_k in zip(e_values, weights):
         try:
-            p_n, _p_e, _res = solve_point(replace(params, e_es=e_k), diss)
+            p_n, _p_e, _report = solve_point(replace(params, e_es=e_k), diss)
         except SolverError as exc:
             raise SolverError(
                 f"quadrature node at e_es = {e_k:.6g} MHz failed: {exc}"
@@ -277,15 +279,22 @@ def strain_averaged_polarization(
 def temperature_curve(
     params: NVSystemParams, diss: DissipationParams, table
 ) -> list:
-    """Map a (temperature, StrainDistribution) table to (temperature, P).
+    """Map a (temperature, StrainDistribution) table to rows of
+    (temperature, P, status).
 
     Temperature enters only through the supplied distribution; rows are
-    evaluated with strain_averaged_polarization in the given order.
+    evaluated with strain_averaged_polarization in the given order.  A
+    row that raises SolverError is recorded as NaN plus the error's class
+    name, as a failed sweep point is, and status is "ok" otherwise.
     """
     table = list(table)
     if not table:
         raise ValueError("temperature table must be nonempty")
     out = []
     for temperature, dist in table:
-        out.append((float(temperature), strain_averaged_polarization(params, diss, dist)))
+        try:
+            row = (float(temperature), strain_averaged_polarization(params, diss, dist), "ok")
+        except SolverError as exc:
+            row = (float(temperature), math.nan, type(exc).__name__)
+        out.append(row)
     return out

@@ -309,6 +309,28 @@ temperature_table:
         assert float(rows[0][1]) > float(rows[1][1])
         assert len((out / "temperature_plot.dat").read_text().splitlines()) == 2
 
+    def test_all_rows_failed_exits_4(self, tmp_path):
+        text = """\
+system:
+  b_axial_gauss: 500.0
+dissipation:
+  pump_rate_mhz: 0.0
+  t1_electron_us: .inf
+  t1_nuclear_us: .inf
+temperature_table:
+  - {temperature_k: 300.0, mean_mhz: 0.0, sigma_mhz: 0.0}
+  - {temperature_k: 200.0, mean_mhz: 0.0, sigma_mhz: 60.0, n_quadrature: 4}
+"""
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["temperature", "--config", cfg, "--out", str(out)]) == 4
+        assert (out / "temperature.csv").read_text().splitlines() == [
+            "temperature_k,nuclear_polarization,status",
+            "300,nan,DegenerateSteadyState",
+            "200,nan,SolverError",
+        ]
+        assert (out / "temperature_plot.dat").read_text() == "300 nan\n200 nan\n"
+
 
 class TestSynth:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -365,6 +387,25 @@ synth:
         raw = np.loadtxt(out / "synth_spectrum.txt")
         peak_freq = raw[np.argmax(raw[:, 1]), 0]
         assert abs(peak_freq - 1400.0) < 20.0
+
+    def test_esodmr_subnormal_sigma_is_lorentzian(self, tmp_path):
+        text = """\
+synth:
+  kind: esodmr
+  grid: {start_mhz: 1300.0, stop_mhz: 1500.0, count: 101}
+  d_es_mhz: 1400.0
+  natural_fwhm_mhz: 5.0
+  amplitude: 0.04
+  strain: {mean_mhz: 10.0, sigma_mhz: SIGMA}
+"""
+        spectra = []
+        for sigma in ("1.0e-310", "0.0"):
+            cfg = write_config(tmp_path, text.replace("SIGMA", sigma), name=f"{sigma}.yaml")
+            out = tmp_path / sigma
+            assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+            spectra.append((out / "synth_spectrum.txt").read_bytes())
+        assert np.isfinite(np.loadtxt(tmp_path / "1.0e-310" / "synth_spectrum.txt")).all()
+        assert spectra[0] == spectra[1]
 
 
 FIT_TRIPLET_YAML = """\

@@ -308,6 +308,16 @@ class TestVoigtJacobian:
         for k in range(3):
             assert np.abs(got[:, k] - want[:, k]).max() < 1e-9 * np.abs(want[:, k]).max()
 
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-200, 1e-310])
+    def test_tiny_sigma_gives_lorentzian_limit(self, sigma):
+        # below sigma/gamma ~ 1e-154 z * z overflows, and at subnormal
+        # sigma z itself is infinite
+        x = np.linspace(-20.0, 20.0, 41)
+        got = nvpol.odmr._voigt(x, sigma, self.GAMMA)
+        want = nvpol.odmr._voigt(x, 0.0, self.GAMMA)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
 
 class TestPolarizationFromAmplitudes:
     def test_pure_states(self):

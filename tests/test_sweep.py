@@ -79,6 +79,24 @@ class TestSweepField:
         assert result.p_electron[0] == direct[1]
         assert result.status[0] == "ok"
 
+    def test_axial_sweep_keeps_transverse_field(self):
+        base = NVSystemParams(b_field=(30.0, 0.0, 100.0))
+        spec = SweepSpec(
+            base=base,
+            dissipation=DissipationParams(pump_leak_ratio=LEAK_080),
+            axis1=SweepAxis("b_axial_gauss", 500.0, 500.0, 1),
+        )
+        result = sweep_field(spec)
+        from dataclasses import replace
+
+        direct = solve_point(replace(base, b_field=(30.0, 0.0, 500.0)), spec.dissipation)
+        assert result.p_nuclear[0] == direct[0]
+        assert result.p_electron[0] == direct[1]
+        assert result.residual[0] == direct[2].residual_norm
+        # the transverse field matters here: axial-only gives P_n near 1
+        axial, _, _ = solve_point(replace(base, b_field=(0.0, 0.0, 500.0)), spec.dissipation)
+        assert abs(result.p_nuclear[0] - axial) > 0.5
+
     def test_polarization_peaks_at_level_anticrossing(self):
         spec = default_spec(SweepAxis("b_axial_gauss", 100.0, 900.0, 3))
         result = sweep_field(spec)
@@ -314,7 +332,7 @@ class TestTemperatureCurve:
         dist = StrainDistribution(sigma=40.0, n_quadrature=16)
         rows = temperature_curve(self.params, self.diss, [(300.0, dist)])
         assert rows == [
-            (300.0, strain_averaged_polarization(self.params, self.diss, dist))
+            (300.0, strain_averaged_polarization(self.params, self.diss, dist), "ok")
         ]
 
     def test_broadening_strain_lowers_polarization(self):
@@ -324,10 +342,26 @@ class TestTemperatureCurve:
             (400.0, StrainDistribution(sigma=150.0, n_quadrature=24)),
         ]
         rows = temperature_curve(self.params, self.diss, table)
-        temps = [t for t, _ in rows]
-        pols = [p for _, p in rows]
+        temps = [t for t, _, _ in rows]
+        pols = [p for _, p, _ in rows]
         assert temps == [200.0, 300.0, 400.0]
         assert pols[0] > pols[1] > pols[2]
+        assert all(status == "ok" for _, _, status in rows)
+
+    def test_failed_row_is_recorded_not_raised(self):
+        bad = DissipationParams(
+            pump_rate=0.0, t1_electron=math.inf, t1_nuclear=math.inf
+        )
+        table = [
+            (300.0, StrainDistribution(sigma=0.0)),
+            (200.0, StrainDistribution(sigma=10.0, n_quadrature=4)),
+        ]
+        rows = temperature_curve(self.params, bad, table)
+        assert [(t, status) for t, _, status in rows] == [
+            (300.0, "DegenerateSteadyState"),
+            (200.0, "SolverError"),
+        ]
+        assert all(math.isnan(p) for _, p, _ in rows)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
