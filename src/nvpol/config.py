@@ -7,6 +7,7 @@ except a relaxation time of .inf, which switches that channel off.
 """
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import yaml
@@ -19,6 +20,22 @@ from .sweep import StrainDistribution, SweepAxis
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 5e2 or 5.0e2.
+
+    PyYAML follows YAML 1.1, whose float pattern needs a decimal point
+    and a signed exponent, so 5e2 would load as the string '5e2'.  The
+    resolver is tried after the YAML 1.1 ones, so integers stay integers.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
 
 
 @dataclass(frozen=True)
@@ -310,7 +327,7 @@ def load_config(path) -> RunConfig:
     """Parse and validate a YAML run configuration."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -248,26 +248,42 @@ def liouvillian(ham: OperatorMatrix, collapse: list) -> Liouvillian:
     The 2*pi converts the MHz Hamiltonian to angular frequency; rates
     g_k are inverse microseconds.  vec(I)^H L = 0 (trace preservation)
     holds to 1e-10 by construction.
+
+    No Kronecker product is formed: the jump sum is one matmul of the
+    stacked operators, and a product with the identity is a broadcast.
+    The coherent and anticommutator parts stay separate terms, so the
+    small dissipator is not rounded against the large Hamiltonian.
     """
     ham = np.asarray(ham, dtype=np.complex128)
     n = ham.shape[0]
     if ham.shape != (n, n):
         raise ValueError(f"Hamiltonian must be square, got {ham.shape}")
-    eye = np.eye(n, dtype=np.complex128)
-    gen = -2j * np.pi * (np.kron(ham, eye) - np.kron(eye, ham.T))
-    cdc = np.zeros((n, n), dtype=np.complex128)  # sum_k g_k C_k^H C_k
-    for op, rate in collapse:
-        cop = np.asarray(op, dtype=np.complex128)
+    ops = [np.asarray(op, dtype=np.complex128) for op, _rate in collapse]
+    for cop in ops:
         if cop.shape != (n, n):
             raise ValueError(
                 f"collapse operator shape {cop.shape} does not match "
                 f"Hamiltonian dimension {n}"
             )
-        g = float(rate)
-        gen += g * np.kron(cop, cop.conj())
-        cdc += g * (cop.conj().T @ cop)
-    gen -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    rates = np.array([float(rate) for _op, rate in collapse])
+    stack = np.array(ops, dtype=np.complex128).reshape(len(ops), n, n)
+    eye = np.eye(n, dtype=np.complex128)
+    gen = -2j * np.pi * (_kron(ham, eye) - _kron(eye, ham.T))
+    # sum_k g_k C_k kron conj(C_k): element (a c, b d) of the matmul is
+    # sum_k g_k C_k[a, c] conj(C_k[b, d]); reorder to (a b, c d)
+    flat = stack.reshape(len(ops), n * n)
+    jump = (rates[:, None] * flat).T @ flat.conj()
+    gen += jump.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    # sum_k g_k C_k^H C_k, contracting over (k, row)
+    cdc = (rates[:, None, None] * stack).reshape(-1, n).conj().T @ stack.reshape(-1, n)
+    gen -= 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
     return Liouvillian(matrix=gen, hilbert_dim=n)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices as one broadcast."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def solve_point(params: NVSystemParams, diss: DissipationParams):

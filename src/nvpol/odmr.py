@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 from scipy.special import wofz
 
 from .spinops import SpinQuantumNumber
@@ -262,6 +261,9 @@ def _seed_peaks(freq, contrast, n_peaks):
     a noise bump riding the shoulder of a strong resonance can be taller
     than a genuine weak peak, but it is never more prominent.
     """
+    # scipy.signal costs about a second to import; only this fit path needs it
+    from scipy.signal import find_peaks
+
     smooth = _smoothed(contrast)
     base = float(smooth.min())
     span = float(freq[-1] - freq[0])

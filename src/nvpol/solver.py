@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .spinops import SpinQuantumNumber, spin_operators
 
@@ -15,6 +16,7 @@ TOL_NULL = 1e-9
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
+EPS = np.finfo(float).eps
 
 DensityMatrix = np.ndarray
 
@@ -63,53 +65,79 @@ def validate_density_matrix(rho: np.ndarray) -> None:
 
 
 def steady_state(lv) -> SteadyStateReport:
-    """Stationary density matrix of L, with an SVD verdict on uniqueness.
+    """Stationary density matrix of L, with an LU verdict on uniqueness.
 
-    Singular values up to TOL_NULL * ||(L + L^H) / 2||_F, but at least
-    dim(L) * eps * sigma_max (SVD rounding), count as the null space; it
-    must be one-dimensional.  The coherent part of L is anti-Hermitian, so
-    that norm is the dissipator's alone and the verdict does not depend
-    on the field's scale.  The state itself comes from a direct
-    solve of L vec(rho) = 0 with the first row of L replaced by the trace
-    condition vec(I)^T vec(rho) = 1.  That row is redundant in L, because
-    vec(I)^H L = 0, so the solve loses no equation; unlike the SVD null
-    vector it carries no rounding of order eps * sigma_max / gap.  The
-    result is hermitized to scrub numerical asymmetry, and the residual
-    ||L vec(rho)||_2 is recomputed on the returned state.
+    The state solves L vec(rho) = 0 with the first row of L replaced by
+    the trace condition vec(I)^T vec(rho) = 1.  That row is redundant in
+    L, because vec(I)^H L = 0, so this bordered matrix B has rank
+    n^2 - k + 1 when the null space of L has dimension k: it is regular
+    exactly when the steady state is unique (the direct method of
+    Johansson, Nation & Nori, CPC 184, 1234 (2013)).  One LU of B gives
+    both the solve and a 1-norm condition estimate.
+
+    The threshold is TOL_NULL * ||(L + L^H) / 2||_F, but at least
+    dim(L) * eps * ||L||_F (rounding).  The coherent part of L is
+    anti-Hermitian, so the first norm is the dissipator's alone and the
+    verdict does not depend on the field's scale.  The state is accepted
+    at once when the estimated smallest singular value rcond * ||B||_1
+    lies above the threshold and the residual ||L vec(rho)||_2 does not.
+    A regular B with a large residual means L does not preserve the
+    trace.
+
+    Otherwise the singular values of L decide: those up to the threshold
+    (with sigma_max in place of ||L||_F) are the null space, and it must
+    be one-dimensional for the LU solve to stand.  The result is
+    hermitized to scrub numerical asymmetry, and the residual is
+    computed on the returned state.
 
     Raises
     ------
     NoStationaryState
-        If the null space is empty within tolerance, or the trace-row
-        system is singular.
+        If the null space is empty within tolerance, or B is exactly
+        singular.
     DegenerateSteadyState
         If its dimension exceeds one; physical models with nonzero pump
         have unique steady states, so degeneracy signals a bad config.
     """
     mat = lv.matrix
     n = lv.hilbert_dim
-    sing = np.linalg.svd(mat, compute_uv=False)
-    sigma_max = sing[0] if sing.size else 0.0
     dissipative = np.linalg.norm(0.5 * (mat + mat.conj().T))
-    tol = max(TOL_NULL * dissipative, mat.shape[0] * np.finfo(float).eps * sigma_max)
+    system = np.array(mat, dtype=np.complex128, order="F")
+    system[0] = np.eye(n).reshape(-1)
+    anorm = float(np.abs(system).sum(axis=0).max())
+    lu, piv, info = lapack.zgetrf(system, overwrite_a=1)
+    sigma_min = 0.0
+    if info == 0:
+        rcond, _ = lapack.zgecon(lu, anorm, norm="1")
+        sigma_min = rcond * anorm
+    floor = max(TOL_NULL * dissipative, mat.shape[0] * EPS * np.linalg.norm(mat))
+    if sigma_min > floor:
+        rho, residual = _solve_bordered(lu, piv, mat, n)
+        if residual <= floor:
+            validate_density_matrix(rho)
+            return SteadyStateReport(rho=rho, residual_norm=residual, null_space_dim=1)
+    sing = np.linalg.svd(mat, compute_uv=False)
+    tol = max(TOL_NULL * dissipative, mat.shape[0] * EPS * sing[0])
     null_dim = int(np.count_nonzero(sing <= tol))
     if null_dim == 0:
         raise NoStationaryState(f"no singular value below the null-space threshold {tol:.3e}")
     if null_dim > 1:
         raise DegenerateSteadyState(null_dim)
-    system = mat.copy()
-    system[0] = np.eye(n).reshape(-1)
+    if info > 0:
+        raise NoStationaryState(f"trace-row system is singular: pivot {info} is zero")
+    rho, residual = _solve_bordered(lu, piv, mat, n)
+    validate_density_matrix(rho)
+    return SteadyStateReport(rho=rho, residual_norm=residual, null_space_dim=1)
+
+
+def _solve_bordered(lu, piv, mat, n) -> tuple:
+    """(hermitized rho, ||L vec(rho)||_2) from the LU of the bordered system."""
     rhs = np.zeros(n * n, dtype=np.complex128)
     rhs[0] = 1.0
-    try:
-        vec = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NoStationaryState(f"trace-row system is singular: {exc}") from exc
+    vec, _ = lapack.zgetrs(lu, piv, rhs)
     rho = vec.reshape(n, n)
     rho = 0.5 * (rho + rho.conj().T)
-    validate_density_matrix(rho)
-    residual = float(np.linalg.norm(mat @ rho.reshape(-1)))
-    return SteadyStateReport(rho=rho, residual_norm=residual, null_space_dim=null_dim)
+    return rho, float(np.linalg.norm(mat @ rho.reshape(-1)))
 
 
 def evolve(rho0: DensityMatrix, lv, t: float) -> DensityMatrix:
@@ -132,11 +160,14 @@ def slowest_rate(lv) -> float:
     """Smallest nonzero decay rate |Re(eigenvalue)| of the Liouvillian.
 
     Sets the relaxation horizon: evolving for ~50 / slowest_rate reaches
-    the steady state to well below 1e-6.
+    the steady state to well below 1e-6.  Rates up to 1e-12 of the
+    largest, but at least dim(L) * eps * max|eigenvalue| (the rounding
+    of the stationary eigenvalue, which grows with the field), count as
+    zero.
     """
     ev = np.linalg.eigvals(lv.matrix)
     rates = np.abs(ev.real)
-    cutoff = max(rates.max(), 1.0) * 1e-12
+    cutoff = max(max(rates.max(), 1.0) * 1e-12, ev.size * EPS * np.abs(ev).max())
     rates = rates[rates > cutoff]
     if rates.size == 0:
         raise SolverError("Liouvillian has no decaying modes")

@@ -201,6 +201,23 @@ class TestConfigErrors:
         assert main(["make-coffee", "--config", "x.yaml"]) == 2
         capsys.readouterr()
 
+    def test_exponent_without_point_is_a_number(self, tmp_path, capsys):
+        # YAML 1.2 reads 5e2 as a float; a quoted "5e2" stays a string
+        outputs = []
+        for k, value in enumerate(("500.0", "5e2")):
+            text = STEADY_YAML.replace("b_axial_gauss: 499.6", f"b_axial_gauss: {value}")
+            cfg = write_config(tmp_path, text, name=f"run{k}.yaml")
+            out = tmp_path / f"out{k}"
+            assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append((out / "steady_state.txt").read_bytes())
+        assert outputs[0] == outputs[1]
+        text = STEADY_YAML.replace("b_axial_gauss: 499.6", 'b_axial_gauss: "5e2"')
+        cfg = write_config(tmp_path, text, name="quoted.yaml")
+        assert main(["steady", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
+        record = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert record["error"] == "ConfigError"
+        assert "'b_axial_gauss'" in record["detail"]
+
 
 class TestSweepB:
     def test_csv_shape_and_values(self, tmp_path):
@@ -556,3 +573,18 @@ class TestConsoleScript:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert json.loads(lines[0])["error"] == "ConfigError"
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # every command imports nvpol.cli; scipy.signal, which only the ODMR
+    # peak seeding needs, costs about a second and 40 MB to import
+    src_root = str(Path(nvpol.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nvpol.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvpol.model import (
     DissipationParams,
@@ -12,9 +16,11 @@ from nvpol.model import (
 )
 from nvpol.spinops import SpinQuantumNumber
 from nvpol.solver import (
+    TOL_NULL,
     DegenerateSteadyState,
     SolverError,
     NoStationaryState,
+    SteadyStateReport,
     electron_polarization,
     evolve,
     nuclear_polarization,
@@ -53,6 +59,53 @@ def random_density_matrix(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def steady_state_svd(lv) -> SteadyStateReport:
+    """Reference steady state with an SVD verdict on uniqueness, as
+    steady_state computed it before the LU verdict replaced the SVD."""
+    mat = lv.matrix
+    n = lv.hilbert_dim
+    sing = np.linalg.svd(mat, compute_uv=False)
+    sigma_max = sing[0] if sing.size else 0.0
+    dissipative = np.linalg.norm(0.5 * (mat + mat.conj().T))
+    tol = max(TOL_NULL * dissipative, mat.shape[0] * np.finfo(float).eps * sigma_max)
+    null_dim = int(np.count_nonzero(sing <= tol))
+    if null_dim == 0:
+        raise NoStationaryState(f"no singular value below the null-space threshold {tol:.3e}")
+    if null_dim > 1:
+        raise DegenerateSteadyState(null_dim)
+    system = mat.copy()
+    system[0] = np.eye(n).reshape(-1)
+    rhs = np.zeros(n * n, dtype=np.complex128)
+    rhs[0] = 1.0
+    try:
+        vec = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoStationaryState(f"trace-row system is singular: {exc}") from exc
+    rho = vec.reshape(n, n)
+    rho = 0.5 * (rho + rho.conj().T)
+    validate_density_matrix(rho)
+    residual = float(np.linalg.norm(mat @ rho.reshape(-1)))
+    return SteadyStateReport(rho=rho, residual_norm=residual, null_space_dim=null_dim)
+
+
+def verdict(solve, lv):
+    """(error class name or None, rho or None) of one steady-state solve."""
+    try:
+        return None, solve(lv).rho
+    except SolverError as exc:
+        return type(exc).__name__, None
+
+
+def zero_or(lo, hi):
+    """0.0 or a float in [lo, hi]: a coupling that is off or clearly on."""
+    return st.just(0.0) | st.floats(lo, hi)
+
+
+def inf_or(lo, hi):
+    """math.inf (channel off) or a relaxation time in [lo, hi]."""
+    return st.just(math.inf) | st.floats(lo, hi)
 
 
 class TestSteadyState:
@@ -101,14 +154,64 @@ class TestSteadyState:
             assert np.abs(rho_t - rho_ss).max() < 1e-6
 
     def test_high_field_matches_evolution(self):
-        # 30 kG: sigma_max of L grows with |H|, while the dissipative gap
-        # that decides uniqueness does not
-        p = NVSystemParams(b_field=(0.0, 0.0, 30000.0))
-        lv = liouvillian(build_hamiltonian(p), build_collapse_ops(DissipationParams(), p.dims))
+        # 10 and 30 kG: sigma_max of L grows with |H|, while the dissipative
+        # gap that decides uniqueness does not.  With a pump leak the
+        # slowest rate is small (5e-4), below the rounding of the
+        # stationary eigenvalue's 1e-12 relative cutoff at these fields.
+        for b_gauss, leak in ((30000.0, 0.0), (10000.0, 0.1245625), (30000.0, 0.1245625)):
+            p = NVSystemParams(b_field=(0.0, 0.0, b_gauss))
+            d = DissipationParams(pump_leak_ratio=leak)
+            lv = liouvillian(build_hamiltonian(p), build_collapse_ops(d, p.dims))
+            report = steady_state(lv)
+            assert report.null_space_dim == 1
+            rho_t = evolve(np.eye(9) / 9.0, lv, 50.0 / slowest_rate(lv))
+            assert np.abs(rho_t - report.rho).max() < 1e-6, (b_gauss, leak)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        b_axial=st.floats(0.0, 100000.0),
+        b_transverse=zero_or(1.0, 100.0),
+        a_perp=zero_or(1.0, 60.0),
+        e_es=zero_or(-300.0, 300.0),
+        leak=st.floats(0.0, 1.0),
+        t1_electron=inf_or(1.0, 1e4),
+        t1_nuclear=inf_or(10.0, 1e5),
+    )
+    def test_lu_verdict_matches_svd_oracle(self, b_axial, b_transverse, a_perp, e_es,
+                                           leak, t1_electron, t1_nuclear):
+        p = NVSystemParams(e_es=e_es, b_field=(b_transverse, 0.0, b_axial),
+                           hyperfine=HyperfineTensor(a_par=40.0, a_perp=a_perp))
+        d = DissipationParams(pump_leak_ratio=leak, t1_electron=t1_electron,
+                              t1_nuclear=t1_nuclear)
+        lv = liouvillian(build_hamiltonian(p), build_collapse_ops(d, p.dims))
+        got_error, got_rho = verdict(steady_state, lv)
+        want_error, want_rho = verdict(steady_state_svd, lv)
+        assert got_error == want_error
+        if want_rho is not None:
+            assert np.abs(got_rho - want_rho).max() <= 1e-10
+
+    def test_border_cases_match_svd_oracle(self):
+        # a_perp = 0 with T1n = inf conserves the nuclear populations:
+        # degenerate with null dimension 3, found by the SVD fallback
+        p = NVSystemParams(b_field=(0.0, 0.0, 500.0),
+                           hyperfine=HyperfineTensor(a_par=40.0, a_perp=0.0))
+        lv = liouvillian(build_hamiltonian(p), build_collapse_ops(
+            DissipationParams(t1_nuclear=math.inf), p.dims))
+        with pytest.raises(DegenerateSteadyState) as exc_info:
+            steady_state(lv)
+        assert exc_info.value.null_space_dim == 3
+        assert verdict(steady_state_svd, lv)[0] == "DegenerateSteadyState"
+        # at 40 kG with both T1 off, the gap lies near the rounding floor:
+        # the LU estimate falls below it, the SVD still finds one null
+        # vector, and the LU solve stands
+        p = NVSystemParams(b_field=(0.0, 0.0, 40000.0),
+                           hyperfine=HyperfineTensor(a_par=40.0, a_perp=10.0))
+        d = DissipationParams(pump_leak_ratio=0.8, t1_electron=math.inf,
+                              t1_nuclear=math.inf)
+        lv = liouvillian(build_hamiltonian(p), build_collapse_ops(d, p.dims))
         report = steady_state(lv)
         assert report.null_space_dim == 1
-        rho_t = evolve(np.eye(9) / 9.0, lv, 50.0 / slowest_rate(lv))
-        assert np.abs(rho_t - report.rho).max() < 1e-6
+        assert np.abs(report.rho - steady_state_svd(lv).rho).max() <= 1e-10
 
     def test_residual_small_on_nv_model(self):
         p = NVSystemParams(b_field=(0.0, 0.0, 500.0))
