@@ -22,12 +22,16 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     """SafeLoader that also reads YAML 1.2 floats such as 5e2 or 5.0e2.
 
     PyYAML follows YAML 1.1, whose float pattern needs a decimal point
     and a signed exponent, so 5e2 would load as the string '5e2'.  The
     resolver is tried after the YAML 1.1 ones, so integers stay integers.
+
+    With libyaml the C parser reads the text, about six times faster
+    than PyYAML's pure-Python scanner; both feed the same resolvers and
+    constructors, so they build the same values.
     """
 
 

@@ -120,25 +120,29 @@ def multi_lorentzian(params: np.ndarray, freq: np.ndarray) -> np.ndarray:
     params = [baseline, c1, w1, a1, c2, w2, a2, ...] with centers c,
     full widths at half maximum w and peak amplitudes a.
     """
-    c, w, a = params[1:].reshape(-1, 3).T
+    c, w, a = params[1:].reshape(-1, 3).T[:, :, None]
     hw2 = 0.25 * w * w
-    d = freq[:, None] - c
-    return params[0] + (a * hw2 / (d * d + hw2)).sum(axis=1)
+    d = freq - c
+    return params[0] + (a * hw2 / (d * d + hw2)).sum(axis=0)
 
 
 def multi_lorentzian_jac(params: np.ndarray, freq: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of :func:`multi_lorentzian` w.r.t. params."""
-    c, w, a = params[1:].reshape(-1, 3).T
+    """Analytic Jacobian of :func:`multi_lorentzian` w.r.t. params.
+
+    Built peak-major, one row per parameter, and returned as the
+    transposed (points, params) view.
+    """
+    c, w, a = params[1:].reshape(-1, 3).T[:, :, None]
     hw2 = 0.25 * w * w
-    d = freq[:, None] - c
+    d = freq - c
     den = d * d + hw2
     den2 = den * den
-    jac = np.empty((freq.size, params.size))
-    jac[:, 0] = 1.0
-    jac[:, 1::3] = a * hw2 * 2.0 * d / den2
-    jac[:, 2::3] = a * d * d / den2 * (0.5 * w)
-    jac[:, 3::3] = hw2 / den
-    return jac
+    jac = np.empty((params.size, freq.size))
+    jac[0] = 1.0
+    jac[1::3] = a * hw2 * 2.0 * d / den2
+    jac[2::3] = a * d * d / den2 * (0.5 * w)
+    jac[3::3] = hw2 / den
+    return jac.T
 
 
 def model_spectrum(ps: PeakSet, grid) -> OdmrSpectrum:
@@ -155,12 +159,22 @@ def _lm_least_squares(fun, x0, lower, upper, jac, max_iter=200, cost_floor=1e-30
     jac(x) is the Jacobian of the residual vector fun(x).
 
     Marquardt diagonal scaling keeps the damping meaningful when the
-    parameters span orders of magnitude.  An accepted step converges on
-    a cost reduction or a step below LM_TOL relative, or on cost
-    reaching cost_floor; the caller sets cost_floor to the model's own
-    evaluation noise, below which relative tests compare noise against
-    noise and never fire.  Absence of any descent step also converges;
-    hitting max_iter leaves converged False.
+    parameters span orders of magnitude.  Each iteration holds every
+    parameter that sits on a bound with the cost gradient pointing out
+    of the box (on the lower bound with gradient > 0, on the upper with
+    gradient < 0): its row and column leave the damped normal
+    equations and its step is zero, so a clip cannot shrink the step of
+    the others to nothing.  The predicted reduction still uses the full
+    gradient and matrix; with nothing held the step is the plain one.
+    With every parameter held no step is left, which converges as any
+    absence of a descent step does.
+
+    An accepted step converges on a cost reduction or a step below
+    LM_TOL relative, or on cost reaching cost_floor; the caller sets
+    cost_floor to the model's own evaluation noise, below which
+    relative tests compare noise against noise and never fire.  Absence
+    of any descent step also converges; hitting max_iter leaves
+    converged False.
 
     Returns (x, cost, jac_final, converged, n_iter).
     """
@@ -168,7 +182,9 @@ def _lm_least_squares(fun, x0, lower, upper, jac, max_iter=200, cost_floor=1e-30
     upper = np.asarray(upper, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     r = fun(x)
-    jmat = jac(x)
+    # J^T J and J^T r are formed from row-major storage whatever order
+    # jac returns: BLAS rounds them differently for the two layouts
+    jmat = np.ascontiguousarray(jac(x))
     cost = 0.5 * float(r @ r)
     lam = 1e-3
     converged = False
@@ -181,10 +197,13 @@ def _lm_least_squares(fun, x0, lower, upper, jac, max_iter=200, cost_floor=1e-30
         diag = np.diag(a_mat).copy()
         pos = diag > 0
         diag[~pos] = diag[pos].min() if pos.any() else 1.0
+        free = np.flatnonzero(~(((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))))
+        a_free, diag_free, grad_free = a_mat[np.ix_(free, free)], diag[free], grad[free]
+        step = np.zeros_like(x)
         accepted = False
         for _ in range(60):
             try:
-                step = np.linalg.solve(a_mat + lam * np.diag(diag), -grad)
+                step[free] = np.linalg.solve(a_free + lam * np.diag(diag_free), -grad_free)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -200,7 +219,7 @@ def _lm_least_squares(fun, x0, lower, upper, jac, max_iter=200, cost_floor=1e-30
                 lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-14)
                 dcost = cost - cost_new
                 x, r, cost = x_new, r_new, cost_new
-                jmat = jac(x)
+                jmat = np.ascontiguousarray(jac(x))
                 accepted = True
                 if cost <= cost_floor:
                     converged = True
@@ -222,11 +241,18 @@ def _lm_least_squares(fun, x0, lower, upper, jac, max_iter=200, cost_floor=1e-30
 
 def _curvature_uncertainties(jmat, cost, n_points):
     """One-sigma parameter uncertainties from the local curvature:
-    sigma^2 = RSS/dof, cov = sigma^2 (J^T J)^+."""
+    sigma^2 = RSS/dof, cov = sigma^2 (J^T J)^+.
+
+    A parameter whose Jacobian column is all zero (the center and width
+    of a peak at amplitude 0) does not move the model, so the data say
+    nothing about it: its uncertainty is nan, not the pseudo-inverse's 0.
+    """
     dof = n_points - jmat.shape[1]
     scale = 2.0 * cost / dof if dof > 0 else math.nan
     cov = scale * np.linalg.pinv(jmat.T @ jmat)
-    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    sig[~jmat.any(axis=0)] = math.nan
+    return sig
 
 
 def _smoothed(trace):
@@ -254,6 +280,51 @@ def _peak_bounds(freq, n_peaks, amp_cap):
     return lower, upper
 
 
+def _mins_to_higher_peak(peaks, gaps):
+    """For each peak in turn, the lowest sample between it and the
+    nearest earlier peak that is strictly higher (or the trace's start).
+
+    gaps[k] is the minimum between peak k - 1 and peak k (before the
+    first peak for k = 0).  The stack holds the peaks no higher peak has
+    passed yet, each with the minimum since the entry below it.
+    """
+    out, stack_peak, stack_min = [], [], []
+    for p, m in zip(peaks, gaps):
+        while stack_peak and stack_peak[-1] <= p:
+            stack_peak.pop()
+            m = min(m, stack_min.pop())
+        stack_peak.append(p)
+        stack_min.append(m)
+        out.append(m)
+    return out
+
+
+def _peak_prominences(x):
+    """Local maxima of x and their topographic prominences, in O(n).
+
+    A maximum is a run of equal samples above both neighbouring runs,
+    reported at the run's midpoint (rounded down); a run touching either
+    end of x is not one.  Prominence is the height above the higher of
+    the two lowest points between the peak and the nearest strictly
+    higher sample on each side (or the end of x).  Indices and values
+    equal scipy.signal.find_peaks(x, prominence=0), whose import costs
+    about a second.
+    """
+    start = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    v = x[start]
+    up = v[1:] > v[:-1]
+    j = np.flatnonzero(up[:-1] & ~up[1:]) + 1  # runs that are maxima
+    if j.size == 0:
+        return j, np.empty(0)
+    # minima before the first maximum, between maxima and after the last
+    gaps = np.minimum.reduceat(v, np.concatenate(([0], j))).tolist()
+    heights = v[j].tolist()
+    left = _mins_to_higher_peak(heights, gaps)
+    right = _mins_to_higher_peak(heights[::-1], gaps[::-1])[::-1]
+    end = np.append(start[1:] - 1, x.size - 1)
+    return (start[j] + end[j]) // 2, v[j] - np.maximum(left, right)
+
+
 def _seed_peaks(freq, contrast, n_peaks):
     """Initial PeakSet from the most topographically prominent maxima.
 
@@ -261,15 +332,12 @@ def _seed_peaks(freq, contrast, n_peaks):
     a noise bump riding the shoulder of a strong resonance can be taller
     than a genuine weak peak, but it is never more prominent.
     """
-    # scipy.signal costs about a second to import; only this fit path needs it
-    from scipy.signal import find_peaks
-
     smooth = _smoothed(contrast)
     base = float(smooth.min())
     span = float(freq[-1] - freq[0])
     width = span / (4.0 * n_peaks)
-    idx, props = find_peaks(smooth, prominence=0.0)
-    order = np.argsort(props["prominences"])[::-1]
+    idx, prominences = _peak_prominences(smooth)
+    order = np.argsort(prominences)[::-1]
     centers = sorted(float(freq[i]) for i in idx[order[:n_peaks]])
     k = 1
     while len(centers) < n_peaks:  # degenerate trace, space seeds evenly
@@ -282,6 +350,18 @@ def _seed_peaks(freq, contrast, n_peaks):
     return PeakSet(peaks=tuple(peaks), baseline=base)
 
 
+def _misplaced_peak(x, w_min):
+    """True when a fitted peak is likely spent on noise or on part of a
+    line another peak also models: a needle narrower than two samples
+    (w_min is the sample spacing, the width floor), or two peaks closer
+    than the sum of their half widths.  Such fits are local minima far
+    more often than fits without either."""
+    c, w = x[1::3], x[2::3]
+    apart = np.abs(c[:, None] - c) >= 0.5 * (w[:, None] + w)
+    np.fill_diagonal(apart, True)
+    return bool(np.any(w < 2.0 * w_min) or not apart.all())
+
+
 def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
                  max_iter: int = 200) -> FitReport:
     """Least-squares multi-Lorentzian decomposition of a spectrum.
@@ -292,8 +372,11 @@ def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
     maxima, and greedy peak-by-peak from the largest smoothed residual
     bump.  The first handles clustered peaks that a greedy residual
     merges; the second handles weak peaks that prominence ranking buries
-    in noise.  Peaks are returned sorted by center with per-parameter
-    uncertainties from the local curvature.
+    in noise.  When the winner has a needle or two overlapping peaks
+    (:func:`_misplaced_peak`), each peak in turn is moved to the largest
+    residual bump of the others, and the best of these refits replaces
+    it if it is cheaper.  Peaks are returned sorted by center with
+    per-parameter uncertainties from the local curvature.
     """
     if n_peaks < 1:
         raise ValueError("n_peaks must be >= 1")
@@ -326,20 +409,29 @@ def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
         return _lm_least_squares(fun, x0, lower, upper, jac=jac,
                                  max_iter=max_iter, cost_floor=floor)
 
+    def grow(x):
+        """x plus one peak seeded at the largest smoothed residual bump."""
+        bump = _smoothed(y - multi_lorentzian(x, freq))
+        idx = int(np.argmax(bump))
+        return np.concatenate([x, [float(freq[idx]), width0, max(float(bump[idx]), 1e-12)]])
+
     if init is not None:
-        x, cost, jmat, converged, n_iter = refine(_pack(init), n_peaks)
+        best = refine(_pack(init), n_peaks)
     else:
         prominent = refine(_pack(_seed_peaks(freq, y, n_peaks)), n_peaks)
         x = np.array([float(y.min())])
         for k in range(1, n_peaks + 1):
-            bump = _smoothed(y - multi_lorentzian(x, freq))
-            idx = int(np.argmax(bump))
-            seed = [float(freq[idx]), width0, max(float(bump[idx]), 1e-12)]
-            greedy = refine(np.concatenate([x, seed]), k)
+            greedy = refine(grow(x), k)
             x = greedy[0]
-        x, cost, jmat, converged, n_iter = min(
-            (prominent, greedy), key=lambda r: r[1]
-        )
+        best = min((prominent, greedy), key=lambda r: r[1])
+        if _misplaced_peak(best[0], float(np.diff(freq).min())):
+            # move each peak in turn to the largest bump the others leave
+            others = (np.delete(best[0], np.s_[1 + 3 * k : 4 + 3 * k]) for k in range(n_peaks))
+            moved = min((refine(grow(rest), n_peaks) for rest in others), key=lambda r: r[1])
+            # a move back onto the same optimum changes only the rounding
+            if moved[1] < (1.0 - LM_TOL) * best[1]:
+                best = moved
+    x, cost, jmat, converged, n_iter = best
     sig = _curvature_uncertainties(jmat, cost, freq.size)
     order = np.argsort(x[1::3])
     peaks = []

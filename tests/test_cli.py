@@ -16,8 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import nvpol
+from nvpol import config
 from nvpol.cli import main
 from nvpol.odmr import LorentzianPeak, PeakSet, model_spectrum
 
@@ -57,7 +59,25 @@ synth:
 """
 
 
+class PurePythonLoader(yaml.SafeLoader):
+    """The config loader's resolver table on PyYAML's pure-Python base:
+    the reference for the libyaml base the program takes when it can."""
+
+    yaml_implicit_resolvers = config._Loader.yaml_implicit_resolvers
+
+
+def parsed(text, loader):
+    """repr of the loaded document (it tells 500 from 500.0), or the
+    failure when the text is not valid YAML."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError:
+        return "YAMLError"
+
+
 def write_config(tmp_path, text, name="run.yaml"):
+    # every config a test writes reads the same with both loader bases
+    assert parsed(text, config._Loader) == parsed(text, PurePythonLoader)
     path = tmp_path / name
     path.write_text(text)
     return str(path)
@@ -217,6 +237,29 @@ class TestConfigErrors:
         record = json.loads(capsys.readouterr().err.splitlines()[0])
         assert record["error"] == "ConfigError"
         assert "'b_axial_gauss'" in record["detail"]
+
+
+class TestConfigLoader:
+    def test_libyaml_base_when_present(self):
+        base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert config._Loader.__bases__ == (base,)
+
+    @pytest.mark.parametrize("scalar", [
+        "5e2", '"5e2"', "5.0e2", "+1e3", "-2.5E-3", ".5", "1.", ".inf", "-.inf", ".nan",
+        "500", "-3", "+7", "0", "1_000", "0x1f", "017", "0b101", "1" + "0" * 40,
+        "true", "null", "~", "1400 MHz",
+    ])
+    def test_scalars_match_pure_python_base(self, scalar):
+        text = f"value: {scalar}\nrow: [{scalar}, {{k: {scalar}}}]\n"
+        assert parsed(text, config._Loader) == parsed(text, PurePythonLoader)
+
+    def test_acceptance_configs_match_pure_python_base(self):
+        import test_acceptance
+
+        texts = [v for k, v in vars(test_acceptance).items() if k.startswith("CLI_")]
+        assert len(texts) == 6
+        for text in texts:
+            assert parsed(text, config._Loader) == parsed(text, PurePythonLoader)
 
 
 class TestSweepB:
@@ -441,12 +484,29 @@ fit:
   m_values: [1.0, 0.0, -1.0]
 """
 
+# acceptance criterion 7's 14N triplet at SNR 50 (true P = 0.80)
+CRITERION_7_YAML = """\
+synth:
+  kind: odmr
+  grid: {start_mhz: 1392.0, stop_mhz: 1408.0, count: 321}
+  noise: 0.0005132729664589743
+  baseline: 0.0
+  peaks:
+    - {center_mhz: 1397.84, fwhm_mhz: 1.0, amplitude: 0.0255}
+    - {center_mhz: 1400.0, fwhm_mhz: 1.0, amplitude: 0.003}
+    - {center_mhz: 1402.16, fwhm_mhz: 1.0, amplitude: 0.0015}
+fit:
+  n_peaks: 3
+  m_values: [1, 0, -1]
+"""
+
 
 class TestFitPipeline:
-    def synth_spectrum(self, tmp_path, yaml_text):
+    def synth_spectrum(self, tmp_path, yaml_text, seed=None):
         cfg = write_config(tmp_path, yaml_text, name="synth.yaml")
         out = tmp_path / "data"
-        assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+        seed_args = [] if seed is None else ["--seed", str(seed)]
+        assert main(["synth", "--config", cfg, "--out", str(out)] + seed_args) == 0
         return cfg, str(out / "synth_spectrum.txt")
 
     def test_synth_then_fit_odmr(self, tmp_path):
@@ -466,6 +526,19 @@ class TestFitPipeline:
         code = main(["fit-odmr", "--config", cfg, "--out", str(out), spectrum])
         assert code == 3
         assert "converged false" in (out / "fit_odmr.txt").read_text()
+
+    def test_amplitude_on_bound_converges(self, tmp_path):
+        # criterion 7's triplet; with this seed the prominence-seeded
+        # refinement pins an amplitude at 0, and the clipped steps used
+        # to stall it at max_iter (exit 3)
+        cfg, spectrum = self.synth_spectrum(tmp_path, CRITERION_7_YAML, seed=2523284998)
+        out = tmp_path / "fit"
+        code = main(["fit-odmr", "--config", cfg, "--out", str(out), spectrum])
+        assert code == 0
+        fields = read_report(out / "fit_odmr.txt")
+        assert fields["converged"] == "true"
+        assert int(fields["iterations"]) < 200
+        assert float(fields["polarization"]) == pytest.approx(0.8, abs=0.1)
 
     def test_m_values_mismatch_exits_2(self, tmp_path, capsys):
         text = FIT_TRIPLET_YAML.replace("m_values: [1.0, 0.0, -1.0]", "m_values: [1.0, -1.0]")
@@ -575,16 +648,24 @@ class TestConsoleScript:
         assert json.loads(lines[0])["error"] == "ConfigError"
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # every command imports nvpol.cli; scipy.signal, which only the ODMR
-    # peak seeding needs, costs about a second and 40 MB to import
+def test_cli_import_leaves_out_scipy_signal(tmp_path):
+    # scipy.signal costs about a second and 40 MB to import; a fresh
+    # process that synthesizes and fits a triplet must not load it
     src_root = str(Path(nvpol.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src_root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, nvpol.cli; print('scipy.signal' in sys.modules)"],
-        capture_output=True, text=True, timeout=120, env=env,
+    cfg = write_config(tmp_path, CRITERION_7_YAML)
+    spectrum = str(tmp_path / "data" / "synth_spectrum.txt")
+    code = (
+        "import sys\n"
+        "from nvpol.cli import main\n"
+        f"assert main(['synth', '--config', {cfg!r}, '--out', {str(tmp_path / 'data')!r}]) == 0\n"
+        f"assert main(['fit-odmr', '--config', {cfg!r}, '--out', {str(tmp_path / 'fit')!r}, "
+        f"{spectrum!r}]) == 0\n"
+        "print('scipy.signal' in sys.modules)\n"
     )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    assert "converged true" in (tmp_path / "fit" / "fit_odmr.txt").read_text()

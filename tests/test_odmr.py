@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
+from scipy.optimize import least_squares, nnls
+from scipy.signal import find_peaks
 from scipy.special import voigt_profile
 
 import nvpol.odmr
@@ -45,6 +49,22 @@ def multi_lorentzian_loop(params, freq):
             d = freq[i] - c
             out[i] += a * hw2 / (d * d + hw2)
     return out
+
+
+def multi_lorentzian_points_major(params, freq):
+    """Reference for multi_lorentzian and its Jacobian built one row per
+    frequency: the same elementwise operations, so equal to the bit."""
+    c, w, a = params[1:].reshape(-1, 3).T
+    hw2 = 0.25 * w * w
+    d = freq[:, None] - c
+    den = d * d + hw2
+    den2 = den * den
+    jac = np.empty((freq.size, params.size))
+    jac[:, 0] = 1.0
+    jac[:, 1::3] = a * hw2 * 2.0 * d / den2
+    jac[:, 2::3] = a * d * d / den2 * (0.5 * w)
+    jac[:, 3::3] = hw2 / den
+    return params[0] + (a * hw2 / den).sum(axis=1), jac
 
 
 def convolved_lineshape(freq, d_es, fwhm, mean, sigma):
@@ -98,6 +118,20 @@ class TestModelSpectrum:
             got = multi_lorentzian(params, freq)
             # same terms summed in another order: a few ulps of the peak
             assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_peak_major_kernels_match_points_major_bitwise(self):
+        rng = np.random.default_rng(29)
+        freq = np.linspace(1392.0, 1408.0, 321)
+        for n_peaks in (1, 2, 3, 5):
+            params = np.concatenate([[rng.uniform(-0.01, 0.01)], np.column_stack([
+                rng.uniform(1390, 1410, n_peaks), rng.uniform(0.05, 20, n_peaks),
+                rng.uniform(0.0, 0.05, n_peaks)]).ravel()])
+            params[3] = 0.0
+            model, jac = multi_lorentzian_points_major(params, freq)
+            assert multi_lorentzian(params, freq).tobytes() == model.tobytes()
+            got = multi_lorentzian_jac(params, freq)
+            assert got.shape == jac.shape
+            assert np.array_equal(got, jac)
 
     def test_peak_validation(self):
         with pytest.raises(ValueError):
@@ -199,6 +233,65 @@ class TestFitSpectrum:
         assert not report.converged
         assert report.n_iter == 1
 
+    def test_surplus_seed_on_noise_converges(self):
+        # the first seed sits on noise, so its amplitude pins at 0 while
+        # every step would push it further down; that clipped step used
+        # to stall the fit for all of max_iter
+        freq = np.linspace(1392.0, 1408.0, 321)
+        truth = PeakSet(peaks=(LorentzianPeak(1397.84, 1.0, 0.0255),
+                               LorentzianPeak(1400.0, 1.0, 0.003)))
+        y = model_spectrum(truth, freq).contrast
+        y = y + np.random.default_rng(3).normal(0.0, 6e-4, freq.size)
+        init = PeakSet(peaks=tuple(LorentzianPeak(c, 1.0, 0.01)
+                                   for c in (1394.0, 1397.8, 1400.1)))
+        report = fit_spectrum(OdmrSpectrum(frequency=freq, contrast=y), 3, init=init)
+        assert report.converged
+        assert report.n_iter < 20
+        assert report.pinned == (True, False, False)
+        # scipy's bounded least squares from the fitted point finds nothing lower
+        x = nvpol.odmr._pack(report.peak_set)
+        assert 0.5 * report.residual_norm**2 <= optimum_cost(freq, y, x) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("seed, k", [(1, 4), (3, 96)])
+    def test_misplaced_peak_is_moved(self, seed, k):
+        # on these perfbench triplets both seedings end with a narrow and
+        # a broad peak on the 1400 MHz line and none on the weak line at
+        # 1402.16 MHz, which left the fit 11 % and 6 % above the optimum
+        y = benchmark_triplet(seed, k)
+        report = fit_spectrum(OdmrSpectrum(frequency=TRIPLET_FREQ, contrast=y), 3)
+        assert report.converged
+        centers = [pk.center for pk in report.peak_set.peaks]
+        assert centers == pytest.approx([1397.84, 1400.0, 1402.16], abs=0.15)
+        truth = nvpol.odmr._pack(TRIPLET_TRUTH)
+        assert 0.5 * report.residual_norm**2 <= optimum_cost(TRIPLET_FREQ, y, truth) * (1 + 1e-9)
+
+    def test_misplaced_peak_rule(self):
+        misplaced = nvpol.odmr._misplaced_peak
+        resolved = np.array([0.0, 1397.8, 1.0, 0.02, 1400.0, 1.0, 0.003, 1402.2, 1.0, 0.001])
+        assert not misplaced(resolved, 0.05)
+        needle = resolved.copy()
+        needle[8] = 0.09
+        assert misplaced(needle, 0.05)
+        overlapping = resolved.copy()
+        overlapping[5] = 3.5  # half widths 0.5 + 1.75 span the 2.2 MHz gaps
+        assert misplaced(overlapping, 0.05)
+        assert not misplaced(resolved[:4], 0.05)
+
+    def test_pinned_peak_shape_is_unidentifiable(self):
+        # at amplitude 0 a peak's center and width do not move the model
+        data = self.synth([(1400.0, 8.0, 0.03)], baseline=0.0, noise=1e-4, seed=5)
+        init = PeakSet(peaks=(LorentzianPeak(1320.0, 8.0, 0.0),
+                              LorentzianPeak(1399.0, 7.0, 0.02)))
+        report = fit_spectrum(data, n_peaks=2, init=init)
+        assert report.converged
+        assert report.pinned == (True, False)
+        assert report.peak_set.peaks[0].amplitude == 0.0
+        center_sigma, fwhm_sigma, amp_sigma = report.peak_uncertainties[0]
+        assert math.isnan(center_sigma) and math.isnan(fwhm_sigma)
+        assert 0.0 < amp_sigma < 1e-3
+        assert all(0.0 < v < 1.0 for v in report.peak_uncertainties[1])
+        assert "nan" in format_fit_report(report)
+
     def test_uncertainties_scale_with_noise(self):
         # noiseless fit: curvature uncertainties collapse with the residual
         quiet = fit_spectrum(self.synth([(1400.0, 8.0, 0.03)]), n_peaks=1)
@@ -228,6 +321,111 @@ class TestAnalyticJacobian:
                 num = (multi_lorentzian(params + dp, freq) -
                        multi_lorentzian(params - dp, freq)) / (2 * dp[col])
                 assert np.abs(jac[:, col] - num).max() < 1e-6
+
+
+class TestBoundedLeastSquares:
+    """_lm_least_squares on linear problems whose optimum sits on the box."""
+
+    def problem(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(40, 6))
+        b = a @ np.array([1.0, -2.0, 0.5, -0.3, 2.0, 0.0]) + 0.1 * rng.normal(size=40)
+        return a, b
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_nonnegative_least_squares(self, seed):
+        a, b = self.problem(seed)
+        x, cost, _jmat, converged, n_iter = nvpol.odmr._lm_least_squares(
+            lambda p: a @ p - b, np.ones(6), np.zeros(6), np.full(6, np.inf),
+            jac=lambda p: a,
+        )
+        expected, rnorm = nnls(a, b)
+        assert converged
+        assert n_iter < 30
+        assert np.any(x == 0.0)
+        assert x == pytest.approx(expected, abs=1e-9)
+        assert cost == pytest.approx(0.5 * rnorm**2, rel=1e-12)
+
+    def test_upper_bound_is_held_too(self):
+        a, b = self.problem(0)
+        upper = np.full(6, 0.25)
+        x, _cost, _jmat, converged, _n = nvpol.odmr._lm_least_squares(
+            lambda p: a @ p - b, np.zeros(6), np.full(6, -np.inf), upper,
+            jac=lambda p: a,
+        )
+        expected = least_squares(lambda p: a @ p - b, np.zeros(6),
+                                 bounds=(-np.inf, upper), xtol=1e-15, ftol=1e-15,
+                                 gtol=1e-15).x
+        assert converged
+        assert np.any(x == 0.25)
+        assert x == pytest.approx(expected, abs=1e-8)
+
+    def test_corner_with_every_parameter_held_converges(self):
+        a = np.eye(3)
+        x, cost, _jmat, converged, n_iter = nvpol.odmr._lm_least_squares(
+            lambda p: a @ p + 1.0, np.zeros(3), np.zeros(3), np.ones(3),
+            jac=lambda p: a,
+        )
+        assert converged and n_iter == 1
+        assert x.tolist() == [0.0, 0.0, 0.0]
+        assert cost == 1.5
+
+
+TRIPLET_FREQ = np.linspace(1392.0, 1408.0, 321)
+TRIPLET_TRUTH = PeakSet(peaks=tuple(LorentzianPeak(c, 1.0, a) for c, a in
+                                    ((1397.84, 0.0255), (1400.0, 0.003), (1402.16, 0.0015))))
+
+
+def benchmark_triplet(seed, k):
+    """Spectrum k of the 208 triplet-fit spectra perfbench draws for a
+    seed: criterion 7's 14N triplet at SNR 50."""
+    sub_seed = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+    noise = 0.0005132729664589743 * np.random.default_rng(sub_seed).standard_normal(321)
+    return model_spectrum(TRIPLET_TRUTH, TRIPLET_FREQ).contrast + noise
+
+
+def optimum_cost(freq, y, x0):
+    """Least-squares cost scipy reaches from x0 under fit_spectrum's
+    bounds (width at least the sample spacing, amplitude >= 0)."""
+    n_peaks = (len(x0) - 1) // 3
+    lower = [-np.inf] + [-np.inf, float(np.diff(freq).min()), 0.0] * n_peaks
+    return least_squares(lambda p: multi_lorentzian(p, freq) - y, x0,
+                         bounds=(lower, np.inf), x_scale="jac",
+                         xtol=1e-15, ftol=1e-15, gtol=1e-15).cost
+
+
+def assert_same_peaks(x):
+    x = np.asarray(x, dtype=float)
+    idx, prominences = nvpol.odmr._peak_prominences(x)
+    want_idx, props = find_peaks(x, prominence=0.0)
+    assert idx.tolist() == want_idx.tolist()
+    assert prominences.tobytes() == props["prominences"].tobytes()
+
+
+class TestPeakProminences:
+    """The fit's peak seeding against scipy.signal.find_peaks."""
+
+    def test_matches_find_peaks_on_benchmark_spectra(self):
+        # raw, and smoothed as the peak seeding sees them
+        for k in range(208):
+            y = benchmark_triplet(1, k)
+            assert_same_peaks(y)
+            assert_same_peaks(nvpol.odmr._smoothed(y))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=40))
+    def test_matches_find_peaks_with_plateaus(self, values):
+        assert_same_peaks(values)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80))
+    def test_matches_find_peaks_on_floats(self, values):
+        assert_same_peaks(values)
+
+    def test_edges_and_flat_traces(self):
+        for values in ([1.0], [3.0, 1.0], [1.0, 2.0, 2.0], [2.0, 2.0, 1.0],
+                       [0.0, 2.0, 2.0, 2.0, 2.0, 0.0], [5.0] * 9, [0.0, 1.0, 0.0, 1.0]):
+            assert_same_peaks(values)
 
 
 def strain_fit_problem(monkeypatch, data, d_es, fwhm, fit_d_es):
@@ -483,6 +681,22 @@ class TestFitStrainDistribution:
         assert refined.d_es == pytest.approx(true_d, abs=0.1)
         assert fixed.d_es == 1400.0
         assert refined.dist.sigma == pytest.approx(25.0, rel=1e-2)
+
+    def test_zero_amplitude_leaves_sigma_unidentifiable(self):
+        # an inverted line (one sample above 0, so the fit runs) drives
+        # the amplitude to its 0 bound, where the model does not depend
+        # on sigma
+        data = self.synth(50.0)
+        y = -data.contrast
+        y[0] = 1e-6
+        data = OdmrSpectrum(frequency=data.frequency, contrast=y)
+        report = fit_strain_distribution(data, self.D, self.W)
+        assert report.converged
+        assert report.amplitude == 0.0
+        assert report.unidentifiable
+        assert math.isnan(report.sigma_uncertainty)
+        assert 0.0 < report.amplitude_uncertainty < 1.0
+        assert "sigma_mhz" in format_strain_report(report)
 
     def test_lorentzian_line_gives_vanishing_sigma(self):
         # noiseless data with no strain: sigma walks down towards 0, where
