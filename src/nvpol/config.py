@@ -145,24 +145,13 @@ def _parse_system(raw):
     if "nuclear_two_s" in d:
         kwargs["nuclear_spin"] = SpinQuantumNumber(_as_int(d.pop("nuclear_two_s"), "nuclear_two_s"))
     hf_kwargs = {}
-    if "hyperfine_matrix_mhz" in d:
-        if "a_par_mhz" in d or "a_perp_mhz" in d:
-            raise ConfigError("give either hyperfine_matrix_mhz or a_par/a_perp, not both")
-        rows = d.pop("hyperfine_matrix_mhz")
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ConfigError("hyperfine_matrix_mhz must be a list of rows")
-        hf_kwargs["matrix"] = [[_as_float(v, "hyperfine_matrix_mhz") for v in row]
-                               for row in rows]
-    else:
-        if "a_par_mhz" in d:
-            hf_kwargs["a_par"] = _as_float(d.pop("a_par_mhz"), "a_par_mhz")
-        if "a_perp_mhz" in d:
-            hf_kwargs["a_perp"] = _as_float(d.pop("a_perp_mhz"), "a_perp_mhz")
+    if "a_par_mhz" in d:
+        hf_kwargs["a_par"] = _as_float(d.pop("a_par_mhz"), "a_par_mhz")
+    if "a_perp_mhz" in d:
+        hf_kwargs["a_perp"] = _as_float(d.pop("a_perp_mhz"), "a_perp_mhz")
     _reject_unknown(d, "system")
     try:
-        if hf_kwargs:
-            kwargs["hyperfine"] = HyperfineTensor(**hf_kwargs)
-        return NVSystemParams(**kwargs)
+        return NVSystemParams(hyperfine=HyperfineTensor(**hf_kwargs), **kwargs)
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from exc
 

@@ -39,29 +39,12 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class HyperfineTensor:
-    """Hyperfine coupling, axial (a_par, a_perp) or full symmetric 3x3.
-
-    When ``matrix`` is given it takes precedence; it must be symmetric
-    to 1e-12.  Axial parameters map to diag(a_perp, a_perp, a_par).
-    """
+    """Axial hyperfine coupling of the on-axis nucleus: the tensor is
+    diag(a_perp, a_perp, a_par) in the NV frame, by the center's C3v
+    symmetry."""
 
     a_par: float = A_HYPERFINE_MHZ
     a_perp: float = A_HYPERFINE_MHZ
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (3, 3):
-                raise ValueError(f"hyperfine matrix must be 3x3, got {m.shape}")
-            if np.abs(m - m.T).max() > 1e-12:
-                raise ValueError("hyperfine matrix must be symmetric to 1e-12")
-            object.__setattr__(self, "matrix", m)
-
-    def as_matrix(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        return np.diag([self.a_perp, self.a_perp, self.a_par]).astype(float)
 
 
 @dataclass(frozen=True)
@@ -153,7 +136,8 @@ def build_hamiltonian(p: NVSystemParams) -> OperatorMatrix:
     """Joint-space Hamiltonian in MHz.
 
     H = d_es (Sz^2 - S(S+1)/3) + e_es (Sx^2 - Sy^2)
-        + B . (gamma_e S + gamma_n I) + I . A . S
+        + B . (gamma_e S + gamma_n I)
+        + a_perp (Ix Sx + Iy Sy) + a_par Iz Sz
     """
     dims = p.dims
     (sx, sy, sz), (ix, iy, iz) = _joint_spin_operators(dims)
@@ -169,19 +153,13 @@ def build_hamiltonian(p: NVSystemParams) -> OperatorMatrix:
 
 
 def build_hyperfine(h: HyperfineTensor, dims) -> OperatorMatrix:
-    """Hyperfine operator sum_ij A_ij I_i S_j on the joint space.
-
-    The axial form equals the full form with diag(a_perp, a_perp, a_par)
-    exactly; both are built through the same Cartesian sum so the
-    equivalence holds bit for bit.
-    """
-    a = np.asarray(h.as_matrix(), dtype=float)
-    s_ops, i_ops = _joint_spin_operators(tuple(int(d) for d in dims))
+    """Hyperfine operator a_perp (Ix Sx + Iy Sy) + a_par Iz Sz on the
+    joint space.  Zero couplings are skipped."""
+    (sx, sy, sz), (ix, iy, iz) = _joint_spin_operators(tuple(int(d) for d in dims))
     out = np.zeros((dims[0] * dims[1],) * 2, dtype=np.complex128)
-    for i in range(3):
-        for j in range(3):
-            if a[i, j] != 0.0:
-                out += a[i, j] * (i_ops[i] @ s_ops[j])
+    for a, i_k, s_k in ((h.a_perp, ix, sx), (h.a_perp, iy, sy), (h.a_par, iz, sz)):
+        if a != 0.0:
+            out += a * (i_k @ s_k)
     return out
 
 
@@ -312,7 +290,12 @@ def calibrate_pump(
 
     The calibration point removes the transfer mechanism (a_perp = 0)
     and the field dependence, leaving a monotone decreasing map from
-    leak ratio to m_s = 0 population that is bisected on [0, 1].
+    leak ratio to m_s = 0 population that is bisected on [0, 1].  At
+    that point only nuclear T1 connects the nuclear levels, and the
+    electron polarization does not depend on its rate; the solves use a
+    nuclear T1 of 0.5 / pump_rate so that a slow or switched-off nuclear
+    channel cannot make the steady state degenerate.  The caller's
+    t1_nuclear is returned unchanged.
 
     Raises
     ------
@@ -322,27 +305,23 @@ def calibrate_pump(
     """
     if not 0.0 < target_electron_polarization < 1.0:
         raise ValueError("target polarization must lie strictly in (0, 1)")
-    a_par = float(p.hyperfine.as_matrix()[2, 2])
-    p_cal = replace(
-        p,
-        b_field=(0.0, 0.0, 0.0),
-        hyperfine=HyperfineTensor(a_par=a_par, a_perp=0.0),
-    )
     if d.pump_rate == 0:
         raise CalibrationError(
             "pump_rate is zero: electron polarization is fixed at the maximally "
             "mixed value and cannot be calibrated",
             achieved=1.0 / 3.0,
         )
+    p_cal = replace(p, b_field=(0.0, 0.0, 0.0), hyperfine=replace(p.hyperfine, a_perp=0.0))
+    d_cal = replace(d, t1_nuclear=0.5 / d.pump_rate)
     lo, hi = 0.0, 1.0
-    p_lo = solve_point(p_cal, replace(d, pump_leak_ratio=lo))[1]
+    p_lo = solve_point(p_cal, replace(d_cal, pump_leak_ratio=lo))[1]
     if target_electron_polarization > p_lo:
         raise CalibrationError(
             f"target {target_electron_polarization} unreachable: maximum "
             f"achievable electron polarization is {p_lo:.6f} at leak ratio 0",
             achieved=p_lo,
         )
-    p_hi = solve_point(p_cal, replace(d, pump_leak_ratio=hi))[1]
+    p_hi = solve_point(p_cal, replace(d_cal, pump_leak_ratio=hi))[1]
     if target_electron_polarization < p_hi:
         raise CalibrationError(
             f"target {target_electron_polarization} unreachable: minimum "
@@ -353,7 +332,7 @@ def calibrate_pump(
     # decreasing function: f(lo) >= 0 >= f(hi)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        p_mid = solve_point(p_cal, replace(d, pump_leak_ratio=mid))[1]
+        p_mid = solve_point(p_cal, replace(d_cal, pump_leak_ratio=mid))[1]
         if abs(p_mid - target_electron_polarization) <= tol:
             return replace(d, pump_leak_ratio=mid)
         if p_mid > target_electron_polarization:

@@ -101,12 +101,6 @@ class StrainFitReport:
     n_iter: int
 
 
-@dataclass(frozen=True)
-class MetricResult:
-    value: float
-    flat_trace: bool
-
-
 def _pack(ps: PeakSet) -> np.ndarray:
     out = [ps.baseline]
     for pk in ps.peaks:
@@ -662,33 +656,6 @@ def fit_strain_distribution(data: OdmrSpectrum, d_es: float, natural_fwhm: float
         unidentifiable=amp_hat <= 1e-12,
         n_iter=n_iter,
     )
-
-
-def resonance_metric(data: OdmrSpectrum, central_range) -> MetricResult:
-    """Mean baseline-subtracted contrast over the central range times the
-    full-trace FWHM (linear interpolation at half maximum).
-
-    The trace minimum serves as the baseline for both factors, which
-    makes the metric invariant under an additive offset.  A flat trace
-    yields value 0 with the flat_trace flag set.
-    """
-    lo, hi = (float(v) for v in central_range)
-    freq, y = data.frequency, data.contrast
-    if not (freq[0] <= lo < hi <= freq[-1]):
-        raise ValueError(
-            f"central range [{lo:g}, {hi:g}] must lie within the data span "
-            f"[{freq[0]:g}, {freq[-1]:g}]"
-        )
-    base = float(y.min())
-    fwhm = _fwhm_interpolated(freq, y)
-    if fwhm == 0.0:
-        return MetricResult(value=0.0, flat_trace=True)
-    mask = (freq >= lo) & (freq <= hi)
-    if mask.any():
-        mean_c = float(y[mask].mean()) - base
-    else:
-        mean_c = float(np.interp(0.5 * (lo + hi), freq, y)) - base
-    return MetricResult(value=mean_c * fwhm, flat_trace=False)
 
 
 def load_spectrum(path) -> OdmrSpectrum:

@@ -2,7 +2,7 @@
 polarization, and temperature curves.
 
 Grid points are solved one after another in row-major order; a point
-takes a few milliseconds of mostly GIL-holding numpy calls, so worker
+takes under a millisecond of mostly GIL-holding numpy calls, so worker
 threads would only add contention.  Failed points are recorded (NaN
 values plus a status string) instead of aborting the sweep.  An optional
 append-only checkpoint file, one row per solved point in grid order,
@@ -102,7 +102,6 @@ def _spec_fingerprint(spec: SweepSpec) -> str:
         "gamma_n": spec.base.gamma_n,
         "a_par": hf.a_par,
         "a_perp": hf.a_perp,
-        "hf_matrix": None if hf.matrix is None else hf.matrix.tolist(),
         "nuclear_two_s": spec.base.nuclear_spin.two_s,
         "dissipation": [
             spec.dissipation.pump_rate,

@@ -148,16 +148,32 @@ dissipation:
         fields = read_report(out / "steady_state.txt")
         assert float(fields["p_electron"]) == pytest.approx(0.8, abs=2e-3)
 
+    def test_calibration_with_nuclear_channel_off(self, tmp_path):
+        text = """\
+system:
+  b_axial_gauss: 499.6
+dissipation:
+  pump_rate_mhz: 10.0
+  t1_nuclear_us: .inf
+  calibrate_electron_polarization: 0.8
+"""
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "cal"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        fields = read_report(out / "steady_state.txt")
+        assert float(fields["p_electron"]) == pytest.approx(0.8, abs=2e-3)
+
 
 class TestConfigErrors:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         # a misspelled nested key, a top-level strain section (strain
-        # belongs under synth or in temperature_table rows), and the
-        # removed fit.jacobian switch
+        # belongs under synth or in temperature_table rows), the removed
+        # fit.jacobian switch, and the removed full hyperfine tensor
         for k, text in enumerate((
             "system:\n  d_es_mz: 1400.0\n",
             "strain: {mean_mhz: 0.0, sigma_mhz: 50.0, n_quadrature: 32}\n",
             "fit: {jacobian: numeric}\n",
+            "system:\n  hyperfine_matrix_mhz: [[40, 0, 0], [0, 40, 0], [0, 0, 40]]\n",
         )):
             cfg = write_config(tmp_path, text, name=f"run{k}.yaml")
             out = tmp_path / f"out{k}"
@@ -168,7 +184,6 @@ class TestConfigErrors:
             assert not out.exists()
 
     def test_non_finite_and_non_numeric_values_exit_2(self, tmp_path, capsys):
-        hyperfine = 'system:\n  hyperfine_matrix_mhz: [["40", 0, 0], [0, "40", 0], [0, 0, true]]\n'
         for k, (text, key) in enumerate((
             ("system:\n  b_axial_gauss: .nan\n", "b_axial_gauss"),
             ("system:\n  a_perp_mhz: .inf\n", "a_perp_mhz"),
@@ -176,7 +191,7 @@ class TestConfigErrors:
             ("system:\n  b_axial_gauss: 1" + "0" * 400 + "\n", "b_axial_gauss"),
             ("dissipation:\n  pump_rate_mhz: .inf\n", "pump_rate_mhz"),
             ("dissipation:\n  t1_electron_us: .nan\n", "t1_electron_us"),
-            (hyperfine, "hyperfine_matrix_mhz"),
+            ('system:\n  a_par_mhz: "40"\n', "a_par_mhz"),
             (STEADY_YAML + "sweep:\n  axis1: {parameter: b_axial_gauss, start: .nan, "
              "stop: 600.0, count: 3}\n", "sweep.axis1.start"),
         )):

@@ -18,7 +18,7 @@ from nvpol.model import (
     solve_point,
 )
 from nvpol.solver import evolve, electron_polarization, steady_state
-from nvpol.spinops import SpinQuantumNumber
+from nvpol.spinops import SpinQuantumNumber, embed, spin_operators
 
 
 def liouvillian_loop(ham, collapse):
@@ -99,12 +99,12 @@ class TestHamiltonian:
     def test_hermitian_for_random_params(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            m = rng.standard_normal((3, 3))
             p = NVSystemParams(
                 d_es=rng.uniform(500, 3000),
                 e_es=rng.uniform(-200, 200),
                 b_field=tuple(rng.uniform(-800, 800, 3)),
-                hyperfine=HyperfineTensor(matrix=0.5 * (m + m.T) * 30),
+                hyperfine=HyperfineTensor(a_par=rng.uniform(-100, 100),
+                                          a_perp=rng.uniform(-100, 100)),
             )
             ham = build_hamiltonian(p)
             assert np.abs(ham - ham.conj().T).max() < 1e-12 * max(1.0, np.abs(ham).max())
@@ -140,18 +140,27 @@ class TestHyperfine:
         op = build_hyperfine(HyperfineTensor(a_par=40.0, a_perp=a_perp), (3, 3))
         assert abs(op[6, 4]) == pytest.approx(a_perp, rel=1e-12)
 
-    def test_full_diag_equals_axial_exactly(self):
-        axial = build_hyperfine(HyperfineTensor(a_par=41.0, a_perp=23.0), (3, 3))
-        full = build_hyperfine(
-            HyperfineTensor(matrix=np.diag([23.0, 23.0, 41.0])), (3, 3)
-        )
-        assert np.array_equal(axial, full)
-
-    def test_asymmetric_matrix_rejected(self):
-        m = np.zeros((3, 3))
-        m[0, 1] = 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            HyperfineTensor(matrix=m)
+    @pytest.mark.parametrize("two_s", [1, 2, 3])
+    def test_matches_cartesian_sum_exactly(self, two_s):
+        # sum_ij A_ij I_i S_j over A = diag(a_perp, a_perp, a_par), in the
+        # same order, skipping zero entries: equal bit for bit
+        dims = (3, two_s + 1)
+        es = spin_operators(SpinQuantumNumber(2))
+        ns = spin_operators(SpinQuantumNumber(two_s))
+        s_ops = [embed(op, 0, dims) for op in (es.sx, es.sy, es.sz)]
+        i_ops = [embed(op, 1, dims) for op in (ns.sx, ns.sy, ns.sz)]
+        rng = np.random.default_rng(two_s)
+        draws = [(0.0, 0.0), (40.0, 0.0), (0.0, -23.0)]
+        draws += [tuple(rng.uniform(-100.0, 100.0, 2)) for _ in range(5)]
+        for a_par, a_perp in draws:
+            a = np.diag([a_perp, a_perp, a_par])
+            expected = np.zeros((dims[0] * dims[1],) * 2, dtype=np.complex128)
+            for i in range(3):
+                for j in range(3):
+                    if a[i, j] != 0.0:
+                        expected += a[i, j] * (i_ops[i] @ s_ops[j])
+            op = build_hyperfine(HyperfineTensor(a_par=a_par, a_perp=a_perp), dims)
+            assert np.array_equal(op, expected)
 
     def test_spin_half_nucleus_supported(self):
         op = build_hyperfine(HyperfineTensor(a_par=130.0, a_perp=0.0), (3, 2))
@@ -322,16 +331,29 @@ class TestCalibratePump:
         # r = 0 gives p0 = 1/(1 + 2 leak); 0.999 -> leak ~ 5e-4
         assert calibrated.pump_leak_ratio < 2e-3
 
+    @pytest.mark.parametrize("t1_nuclear", [1e3, 1e6, 1e7, math.inf])
+    def test_slow_nuclear_relaxation_calibrates(self, t1_nuclear):
+        # at the calibration point only nuclear T1 connects the nuclear
+        # levels; a slow or switched-off channel must not make it degenerate
+        d = DissipationParams(t1_nuclear=t1_nuclear)
+        calibrated = calibrate_pump(0.8, d, NVSystemParams())
+        assert calibrated.pump_leak_ratio == 0.125
+        assert calibrated.t1_nuclear == t1_nuclear
+
     def test_zero_pump_unreachable(self):
         d = DissipationParams(pump_rate=0.0)
         with pytest.raises(CalibrationError):
             calibrate_pump(0.8, d, NVSystemParams())
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(**calibration_draws)
-    def test_solve_point_matches_rate_balance(self, pump_rate, leak, t1_electron, e_es, a_par):
+    @given(**calibration_draws, t1_nuclear=st.floats(0.1, 1e4))
+    def test_solve_point_matches_rate_balance(self, pump_rate, leak, t1_electron, e_es, a_par,
+                                              t1_nuclear):
+        # electron polarization at the calibration point does not depend
+        # on the nuclear T1 the calibration solves with
         p = NVSystemParams(e_es=e_es, hyperfine=HyperfineTensor(a_par=a_par, a_perp=0.0))
-        d = DissipationParams(pump_rate=pump_rate, pump_leak_ratio=leak, t1_electron=t1_electron)
+        d = DissipationParams(pump_rate=pump_rate, pump_leak_ratio=leak, t1_electron=t1_electron,
+                              t1_nuclear=t1_nuclear)
         expected = calibration_point_polarization(pump_rate, leak, t1_electron)
         assert abs(solve_point(p, d)[1] - expected) <= 1e-12
 

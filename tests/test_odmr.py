@@ -24,7 +24,6 @@ from nvpol.odmr import (
     multi_lorentzian,
     multi_lorentzian_jac,
     polarization_from_amplitudes,
-    resonance_metric,
     save_spectrum,
 )
 from nvpol.spinops import SpinQuantumNumber
@@ -617,6 +616,18 @@ class TestLineshape:
             widths.append(_fwhm_interpolated(freq, spec.contrast))
         assert all(b > a for a, b in zip(widths, widths[1:]))
 
+    def test_interpolated_fwhm_closed_form(self):
+        # the width that seeds the strain fit: plateau of height 1 over
+        # [3, 5], half-maximum crossings at 2.5 and 5.5, independent of
+        # offset and scale; a flat trace has width 0
+        from nvpol.odmr import _fwhm_interpolated
+
+        freq = np.arange(8.0)
+        y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        for trace in (y, 2.0 * y + 0.3):
+            assert _fwhm_interpolated(freq, trace) == pytest.approx(3.0, abs=1e-12)
+        assert _fwhm_interpolated(freq, np.full(8, 0.7)) == 0.0
+
     def test_amplitude_scales(self):
         freq = self.grid(n=2001)
         one = esodmr_lineshape(StrainDistribution(sigma=30.0), self.D, self.W, freq)
@@ -705,50 +716,6 @@ class TestFitStrainDistribution:
         assert report.converged
         assert report.dist.sigma < 1e-3
         assert report.amplitude == pytest.approx(0.04, rel=1e-9)
-
-
-class TestResonanceMetric:
-    def square_trace(self):
-        freq = np.arange(8.0)
-        y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-        return OdmrSpectrum(frequency=freq, contrast=y)
-
-    def test_square_trace_closed_form(self):
-        # plateau height 1 over [3, 5], half-max crossings at 2.5 and 5.5
-        metric = resonance_metric(self.square_trace(), (3.0, 5.0))
-        assert metric.value == pytest.approx(3.0, abs=1e-12)
-        assert not metric.flat_trace
-
-    def test_offset_invariance(self):
-        data = self.square_trace()
-        shifted = OdmrSpectrum(frequency=data.frequency, contrast=data.contrast + 0.3)
-        assert resonance_metric(shifted, (3.0, 5.0)).value == pytest.approx(
-            resonance_metric(data, (3.0, 5.0)).value, abs=1e-12
-        )
-
-    def test_homogeneous_in_contrast_scale(self):
-        data = self.square_trace()
-        doubled = OdmrSpectrum(frequency=data.frequency, contrast=2.0 * data.contrast)
-        assert resonance_metric(doubled, (3.0, 5.0)).value == pytest.approx(
-            2.0 * resonance_metric(data, (3.0, 5.0)).value, abs=1e-12
-        )
-
-    def test_flat_trace(self):
-        freq = np.arange(8.0)
-        data = OdmrSpectrum(frequency=freq, contrast=np.full(8, 0.7))
-        metric = resonance_metric(data, (2.0, 5.0))
-        assert metric.value == 0.0
-        assert metric.flat_trace
-
-    def test_range_between_samples_uses_interpolation(self):
-        metric = resonance_metric(self.square_trace(), (3.2, 3.4))
-        assert metric.value == pytest.approx(3.0, abs=1e-12)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError, match="central range"):
-            resonance_metric(self.square_trace(), (5.0, 9.0))
-        with pytest.raises(ValueError):
-            resonance_metric(self.square_trace(), (5.0, 3.0))
 
 
 class TestSpectrumIO:
