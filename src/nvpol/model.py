@@ -101,10 +101,17 @@ class DissipationParams:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense vectorized Lindblad generator on an n-dim Hilbert space."""
+    """Dense vectorized Lindblad generator on an n-dim Hilbert space.
+
+    dissipative_norm is the Frobenius norm of the Hermitian part
+    (L + L^H) / 2, the scale of the steady-state uniqueness threshold.
+    :func:`liouvillian` passes it from the cached dissipator; a generator
+    built directly from a matrix computes it here.
+    """
 
     matrix: np.ndarray
     hilbert_dim: int
+    dissipative_norm: float | None = None
 
     def __post_init__(self):
         big = self.hilbert_dim * self.hilbert_dim
@@ -112,6 +119,11 @@ class Liouvillian:
             raise ValueError(
                 f"Liouvillian matrix shape {self.matrix.shape} does not match "
                 f"hilbert_dim {self.hilbert_dim}"
+            )
+        if self.dissipative_norm is None:
+            mat = self.matrix
+            object.__setattr__(
+                self, "dissipative_norm", float(np.linalg.norm(0.5 * (mat + mat.conj().T)))
             )
 
 
@@ -132,6 +144,22 @@ def _joint_spin_operators(dims: tuple) -> tuple:
     return s_ops, i_ops
 
 
+@lru_cache(maxsize=None)
+def _spin_products(dims: tuple) -> tuple:
+    """Field-independent products of the Hamiltonian on the joint space:
+    (Sz^2 - S(S+1)/3, Sx^2 - Sy^2, (Ix Sx, Iy Sy, Iz Sz)), read-only and
+    shared like the operators they are made of."""
+    (sx, sy, sz), (ix, iy, iz) = _joint_spin_operators(dims)
+    s_e = ELECTRON_SPIN.s
+    eye = np.eye(dims[0] * dims[1], dtype=np.complex128)
+    zfs = sz @ sz - (s_e * (s_e + 1.0) / 3.0) * eye
+    strain = sx @ sx - sy @ sy
+    hyperfine = (ix @ sx, iy @ sy, iz @ sz)
+    for op in (zfs, strain) + hyperfine:
+        op.flags.writeable = False
+    return zfs, strain, hyperfine
+
+
 def build_hamiltonian(p: NVSystemParams) -> OperatorMatrix:
     """Joint-space Hamiltonian in MHz.
 
@@ -141,10 +169,9 @@ def build_hamiltonian(p: NVSystemParams) -> OperatorMatrix:
     """
     dims = p.dims
     (sx, sy, sz), (ix, iy, iz) = _joint_spin_operators(dims)
-    eye = np.eye(dims[0] * dims[1], dtype=np.complex128)
-    s_e = ELECTRON_SPIN.s
-    ham = p.d_es * (sz @ sz - (s_e * (s_e + 1.0) / 3.0) * eye)
-    ham += p.e_es * (sx @ sx - sy @ sy)
+    zfs, strain, _hyperfine = _spin_products(dims)
+    ham = p.d_es * zfs
+    ham += p.e_es * strain
     for b_k, s_k, i_k in zip(p.b_field, (sx, sy, sz), (ix, iy, iz)):
         if b_k != 0.0:
             ham += b_k * (p.gamma_e * s_k + p.gamma_n * i_k)
@@ -155,11 +182,11 @@ def build_hamiltonian(p: NVSystemParams) -> OperatorMatrix:
 def build_hyperfine(h: HyperfineTensor, dims) -> OperatorMatrix:
     """Hyperfine operator a_perp (Ix Sx + Iy Sy) + a_par Iz Sz on the
     joint space.  Zero couplings are skipped."""
-    (sx, sy, sz), (ix, iy, iz) = _joint_spin_operators(tuple(int(d) for d in dims))
+    dims = tuple(int(d) for d in dims)
     out = np.zeros((dims[0] * dims[1],) * 2, dtype=np.complex128)
-    for a, i_k, s_k in ((h.a_perp, ix, sx), (h.a_perp, iy, sy), (h.a_par, iz, sz)):
+    for a, prod in zip((h.a_perp, h.a_perp, h.a_par), _spin_products(dims)[2]):
         if a != 0.0:
-            out += a * (i_k @ s_k)
+            out += a * prod
     return out
 
 
@@ -169,7 +196,53 @@ def _ketbra(dim: int, i: int, j: int) -> np.ndarray:
     return op
 
 
-def build_collapse_ops(d: DissipationParams, dims) -> tuple:
+class CollapseChannels(tuple):
+    """Collapse channels as (operator, rate) pairs, carrying the
+    dissipator they make on the n-dim Hilbert space.
+
+    ``dissipator`` is the read-only superoperator
+
+        sum_k g_k (C_k kron conj(C_k)
+                   - (C_k^H C_k kron I + I kron (C_k^H C_k)^T) / 2)
+
+    in the row-stacking convention of :func:`liouvillian`, and
+    ``dissipative_norm`` the Frobenius norm of its Hermitian part.  Both
+    are built once, when the channel set is made.
+
+    Raises
+    ------
+    ValueError
+        If an operator is not n x n.
+    """
+
+    def __new__(cls, pairs, hilbert_dim: int):
+        self = super().__new__(cls, pairs)
+        n = self.hilbert_dim = int(hilbert_dim)
+        ops = [np.asarray(op, dtype=np.complex128) for op, _rate in self]
+        for cop in ops:
+            if cop.shape != (n, n):
+                raise ValueError(
+                    f"collapse operator shape {cop.shape} does not match "
+                    f"Hamiltonian dimension {n}"
+                )
+        rates = np.array([float(rate) for _op, rate in self])
+        stack = np.array(ops, dtype=np.complex128).reshape(len(ops), n, n)
+        eye = np.eye(n, dtype=np.complex128)
+        # sum_k g_k C_k kron conj(C_k): element (a c, b d) of the matmul is
+        # sum_k g_k C_k[a, c] conj(C_k[b, d]); reorder to (a b, c d)
+        flat = stack.reshape(len(ops), n * n)
+        jump = (rates[:, None] * flat).T @ flat.conj()
+        diss = jump.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        # sum_k g_k C_k^H C_k, contracting over (k, row)
+        cdc = (rates[:, None, None] * stack).reshape(-1, n).conj().T @ stack.reshape(-1, n)
+        diss -= 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
+        diss.flags.writeable = False
+        self.dissipator = diss
+        self.dissipative_norm = float(np.linalg.norm(0.5 * (diss + diss.conj().T)))
+        return self
+
+
+def build_collapse_ops(d: DissipationParams, dims) -> CollapseChannels:
     """Collapse channels as (operator, rate) pairs on the joint space.
 
     Channels: nuclear-conserving optical pump |m_s=0><m_s=+-1| at
@@ -179,13 +252,15 @@ def build_collapse_ops(d: DissipationParams, dims) -> tuple:
     1/(2 t1_nuclear).  Zero-rate channels are dropped.
 
     The channels depend on d and dims alone, so they are built once per
-    pair and shared; the operators are read-only for that reason.
+    pair and shared, together with their dissipator (see
+    :class:`CollapseChannels`); at most 8 pairs are kept.  The operators
+    and the dissipator are read-only for that reason.
     """
     return _collapse_ops(d, tuple(int(n) for n in dims))
 
 
 @lru_cache(maxsize=8)
-def _collapse_ops(d: DissipationParams, dims: tuple) -> tuple:
+def _collapse_ops(d: DissipationParams, dims: tuple) -> CollapseChannels:
     de, dn = dims
     if de != ELECTRON_SPIN.dim:
         raise ValueError(f"electron dimension must be {ELECTRON_SPIN.dim}, got {de}")
@@ -210,10 +285,10 @@ def _collapse_ops(d: DissipationParams, dims: tuple) -> tuple:
             ops.append((embed(_ketbra(dn, i + 1, i), 1, dims), rate_n))
     for op, _rate in ops:
         op.flags.writeable = False
-    return tuple(ops)
+    return CollapseChannels(ops, de * dn)
 
 
-def liouvillian(ham: OperatorMatrix, collapse: list) -> Liouvillian:
+def liouvillian(ham: OperatorMatrix, collapse) -> Liouvillian:
     """Vectorized Lindblad generator (row-stacking convention).
 
     vec(rho) = rho.reshape(n*n) in C order, so vec(A rho B) =
@@ -227,35 +302,45 @@ def liouvillian(ham: OperatorMatrix, collapse: list) -> Liouvillian:
     g_k are inverse microseconds.  vec(I)^H L = 0 (trace preservation)
     holds to 1e-10 by construction.
 
-    No Kronecker product is formed: the jump sum is one matmul of the
-    stacked operators, and a product with the identity is a broadcast.
-    The coherent and anticommutator parts stay separate terms, so the
-    small dissipator is not rounded against the large Hamiltonian.
+    collapse is a :class:`CollapseChannels`, as build_collapse_ops
+    returns, whose dissipator is used as built; any other iterable of
+    (operator, rate) pairs is made into one first.  L is a copy of the
+    dissipator with -2 pi i H added at the n^3 entries that each of
+    H kron I and I kron H^T fills, so no Kronecker product is formed.
+    The returned Liouvillian carries the dissipator's norm: for
+    Hermitian H the coherent part is anti-Hermitian, so that is the
+    norm of the Hermitian part of L.
     """
     ham = np.asarray(ham, dtype=np.complex128)
     n = ham.shape[0]
     if ham.shape != (n, n):
         raise ValueError(f"Hamiltonian must be square, got {ham.shape}")
-    ops = [np.asarray(op, dtype=np.complex128) for op, _rate in collapse]
-    for cop in ops:
-        if cop.shape != (n, n):
-            raise ValueError(
-                f"collapse operator shape {cop.shape} does not match "
-                f"Hamiltonian dimension {n}"
-            )
-    rates = np.array([float(rate) for _op, rate in collapse])
-    stack = np.array(ops, dtype=np.complex128).reshape(len(ops), n, n)
-    eye = np.eye(n, dtype=np.complex128)
-    gen = -2j * np.pi * (_kron(ham, eye) - _kron(eye, ham.T))
-    # sum_k g_k C_k kron conj(C_k): element (a c, b d) of the matmul is
-    # sum_k g_k C_k[a, c] conj(C_k[b, d]); reorder to (a b, c d)
-    flat = stack.reshape(len(ops), n * n)
-    jump = (rates[:, None] * flat).T @ flat.conj()
-    gen += jump.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    # sum_k g_k C_k^H C_k, contracting over (k, row)
-    cdc = (rates[:, None, None] * stack).reshape(-1, n).conj().T @ stack.reshape(-1, n)
-    gen -= 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
-    return Liouvillian(matrix=gen, hilbert_dim=n)
+    if not isinstance(collapse, CollapseChannels):
+        collapse = CollapseChannels(collapse, n)
+    elif collapse.hilbert_dim != n:
+        raise ValueError(
+            f"collapse operator shape {(collapse.hilbert_dim,) * 2} does not match "
+            f"Hamiltonian dimension {n}"
+        )
+    gen = collapse.dissipator.copy()
+    left, right = _coherent_index(n)
+    coherent = -2j * np.pi * ham
+    flat = gen.reshape(-1)
+    flat[left] += coherent[:, :, None]
+    flat[right] -= coherent.T[:, :, None]
+    return Liouvillian(matrix=gen, hilbert_dim=n, dissipative_norm=collapse.dissipative_norm)
+
+
+@lru_cache(maxsize=None)
+def _coherent_index(n: int) -> tuple:
+    """Flat indices into an (n^2, n^2) generator, each shaped [a, c, b]:
+    where H kron I holds H[a, c] (row a n + b, column c n + b), and where
+    I kron H^T holds H^T[a, c] (row b n + a, column b n + c)."""
+    a, c, b = np.indices((n, n, n))
+    left = (a * n + b) * n * n + c * n + b
+    right = (b * n + a) * n * n + b * n + c
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

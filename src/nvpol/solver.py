@@ -1,12 +1,13 @@
 """Steady-state extraction, time evolution, and density-matrix observables."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .spinops import SpinQuantumNumber, spin_operators
+from .spinops import SpinQuantumNumber
 
 # null-space threshold for singular values of L, relative to the Frobenius
 # norm of its dissipative part (L + L^H) / 2
@@ -78,7 +79,9 @@ def steady_state(lv) -> SteadyStateReport:
     The threshold is TOL_NULL * ||(L + L^H) / 2||_F, but at least
     dim(L) * eps * ||L||_F (rounding).  The coherent part of L is
     anti-Hermitian, so the first norm is the dissipator's alone and the
-    verdict does not depend on the field's scale.  The state is accepted
+    verdict does not depend on the field's scale; it is read from
+    ``lv.dissipative_norm``, which :func:`nvpol.model.liouvillian` takes
+    from the dissipator built once per channel set.  The state is accepted
     at once when the estimated smallest singular value rcond * ||B||_1
     lies above the threshold and the residual ||L vec(rho)||_2 does not.
     A regular B with a large residual means L does not preserve the
@@ -101,7 +104,7 @@ def steady_state(lv) -> SteadyStateReport:
     """
     mat = lv.matrix
     n = lv.hilbert_dim
-    dissipative = np.linalg.norm(0.5 * (mat + mat.conj().T))
+    dissipative = lv.dissipative_norm
     system = np.array(mat, dtype=np.complex128, order="F")
     system[0] = np.eye(n).reshape(-1)
     anorm = float(np.abs(system).sum(axis=0).max())
@@ -190,10 +193,27 @@ def partial_trace(rho: DensityMatrix, keep: int, dims) -> DensityMatrix:
 
 
 def nuclear_polarization(rho: DensityMatrix, dims, nuclear_spin: SpinQuantumNumber) -> float:
-    """<I_z> / I of the reduced nuclear state, in [-1, 1]."""
-    rho_n = partial_trace(rho, 1, dims)
-    iz = spin_operators(nuclear_spin).sz
-    return float(np.real(np.trace(rho_n @ iz)) / nuclear_spin.s)
+    """<I_z> / I of the reduced nuclear state, in [-1, 1].
+
+    I_z is diagonal in the product basis, so this is the diagonal of rho
+    weighted by m_I / I; no partial trace is formed.
+    """
+    weights = _nuclear_weights(tuple(int(d) for d in dims), nuclear_spin)
+    if rho.shape != (weights.size, weights.size):
+        raise ValueError(f"state dimension {rho.shape} does not match dims {dims}")
+    return float(np.real(np.diagonal(rho)) @ weights)
+
+
+@lru_cache(maxsize=None)
+def _nuclear_weights(dims: tuple, nuclear_spin: SpinQuantumNumber) -> np.ndarray:
+    """m_I / I of each product basis state (electron slot 0, nucleus slot
+    1, descending m), read-only because every caller gets the same array."""
+    d0, d1 = dims
+    if nuclear_spin.dim != d1:
+        raise ValueError(f"nuclear spin dimension {nuclear_spin.dim} does not match dims {dims}")
+    weights = np.tile((nuclear_spin.s - np.arange(d1)) / nuclear_spin.s, d0)
+    weights.flags.writeable = False
+    return weights
 
 
 def electron_polarization(rho: DensityMatrix, dims) -> float:

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvpol import model, solver
 from nvpol.model import (
     CalibrationError,
     DissipationParams,
     HyperfineTensor,
+    Liouvillian,
     NVSystemParams,
     build_collapse_ops,
     build_hamiltonian,
@@ -278,6 +281,97 @@ class TestLiouvillian:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             liouvillian(np.zeros((3, 3), dtype=complex), [(np.eye(2), 1.0)])
+
+
+class TestCachedDissipator:
+    @pytest.mark.parametrize("two_s", [1, 2, 3])
+    @pytest.mark.parametrize("b_transverse", [0.0, 30.0])
+    @pytest.mark.parametrize("t1", [(100.0, 1000.0), (100.0, math.inf), (math.inf, math.inf)])
+    def test_matches_loop_oracle_and_plain_list(self, two_s, b_transverse, t1):
+        # a transverse field makes H complex; T1 = inf drops channels
+        p = NVSystemParams(b_field=(b_transverse, 0.0, 500.0), e_es=70.0,
+                           nuclear_spin=SpinQuantumNumber(two_s))
+        d = DissipationParams(pump_leak_ratio=0.2, t1_electron=t1[0], t1_nuclear=t1[1])
+        ham = build_hamiltonian(p)
+        channels = build_collapse_ops(d, p.dims)
+        expected = liouvillian_loop(ham, channels)
+        got = liouvillian(ham, channels)
+        ulp = np.spacing(np.abs(expected).max())
+        assert np.abs(got.matrix - expected).max() <= ulp
+        plain = liouvillian(ham, [(op, rate) for op, rate in channels])
+        assert np.array_equal(plain.matrix, got.matrix)
+        assert plain.dissipative_norm == got.dissipative_norm
+        direct = Liouvillian(matrix=got.matrix, hilbert_dim=got.hilbert_dim)
+        assert got.dissipative_norm == pytest.approx(direct.dissipative_norm, rel=1e-14)
+
+    def test_direct_generator_computes_norm(self):
+        rng = np.random.default_rng(11)
+        mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        lv = Liouvillian(matrix=mat, hilbert_dim=4)
+        assert lv.dissipative_norm == np.linalg.norm(0.5 * (mat + mat.conj().T))
+
+    def test_plain_list_checks_every_operator(self):
+        ops = [(np.eye(3), 1.0), (np.eye(2), 1.0)]
+        with pytest.raises(ValueError, match=r"shape \(2, 2\) does not match"):
+            liouvillian(np.zeros((3, 3), dtype=complex), ops)
+
+    def test_channel_set_of_other_dimension_rejected(self):
+        channels = build_collapse_ops(DissipationParams(), (3, 2))
+        with pytest.raises(ValueError, match="does not match Hamiltonian dimension 9"):
+            liouvillian(np.zeros((9, 9), dtype=complex), channels)
+
+    def test_read_only_and_shared_by_equal_params(self, monkeypatch):
+        seen = []
+        original = model.liouvillian
+
+        def recording(ham, collapse):
+            seen.append(collapse)
+            return original(ham, collapse)
+
+        monkeypatch.setattr(model, "liouvillian", recording)
+        p = NVSystemParams(b_field=(0.0, 0.0, 500.0))
+        solve_point(p, DissipationParams(pump_leak_ratio=0.31))
+        solve_point(replace(p, b_field=(0.0, 0.0, 510.0)), DissipationParams(pump_leak_ratio=0.31))
+        first, second = seen
+        assert second.dissipator is first.dissipator
+        with pytest.raises(ValueError):
+            first.dissipator[0, 0] = 1.0
+        # the generator handed out is a copy the caller may change
+        lv = original(build_hamiltonian(p), first)
+        lv.matrix[0, 0] = 1.0
+        assert first.dissipator[0, 0] != 1.0
+
+    def test_cache_stays_bounded_over_calibrations(self):
+        p = NVSystemParams()
+        d = DissipationParams()
+        for target in np.linspace(0.5, 0.9, 50):
+            calibrate_pump(float(target), d, p)
+        assert model._collapse_ops.cache_info().currsize <= 8
+
+
+def test_solve_point_calls_each_layer_once(monkeypatch):
+    # perfbench's count check requires equal build_hamiltonian,
+    # liouvillian and steady_state counts per point (38 of each per
+    # strain-map job) until its count rules are refreshed
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((model, "build_hamiltonian"), (model, "build_collapse_ops"),
+                         (model, "liouvillian"), (solver, "steady_state"),
+                         (solver, "nuclear_polarization"), (solver, "electron_polarization")):
+        counted(module, name)
+    solve_point(NVSystemParams(b_field=(0.0, 0.0, 500.0)), DissipationParams())
+    assert calls == {"build_hamiltonian": 1, "build_collapse_ops": 1, "liouvillian": 1,
+                     "steady_state": 1, "nuclear_polarization": 1,
+                     "electron_polarization": 1}
 
 
 def calibration_point_polarization(pump_rate, leak, t1_electron):

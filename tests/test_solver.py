@@ -14,7 +14,7 @@ from nvpol.model import (
     build_hamiltonian,
     liouvillian,
 )
-from nvpol.spinops import SpinQuantumNumber
+from nvpol.spinops import SpinQuantumNumber, spin_operators
 from nvpol.solver import (
     TOL_NULL,
     DegenerateSteadyState,
@@ -328,6 +328,32 @@ class TestPolarizations:
         before = nuclear_polarization(rho, (3, 3), N14)
         after = nuclear_polarization(rho_rot, (3, 3), N14)
         assert after == pytest.approx(before, abs=1e-10)
+
+
+def nuclear_polarization_partial_trace(rho, dims, nuclear_spin):
+    """Reference <I_z> / I through the reduced nuclear state, as
+    nuclear_polarization computed it before it read the diagonal."""
+    rho_n = partial_trace(rho, 1, dims)
+    iz = spin_operators(nuclear_spin).sz
+    return float(np.real(np.trace(rho_n @ iz)) / nuclear_spin.s)
+
+
+class TestNuclearPolarizationOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(two_s=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_partial_trace(self, two_s, seed):
+        spin = SpinQuantumNumber(two_s)
+        dims = (3, spin.dim)
+        rho = random_density_matrix(np.random.default_rng(seed), 3 * spin.dim)
+        expected = nuclear_polarization_partial_trace(rho, dims, spin)
+        assert abs(nuclear_polarization(rho, dims, spin) - expected) <= 1e-15
+
+    def test_dimension_mismatch_rejected(self):
+        rho = np.eye(9, dtype=complex) / 9.0
+        with pytest.raises(ValueError, match="does not match"):
+            nuclear_polarization(rho, (3, 2), SpinQuantumNumber(1))
+        with pytest.raises(ValueError, match="does not match"):
+            nuclear_polarization(rho, (3, 3), SpinQuantumNumber(1))
 
 
 class TestValidateDensityMatrix:
