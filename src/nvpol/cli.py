@@ -10,6 +10,7 @@ non-convergence, 4 partial sweep failure (half or more points failed).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -214,7 +215,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="nvpol",
         description="Steady-state nuclear-polarization simulation and ODMR analysis",

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .spinops import SpinQuantumNumber
 from .sweep import StrainDistribution
@@ -17,6 +16,10 @@ from .sweep import StrainDistribution
 # relative cost reduction and relative step at which an accepted
 # Levenberg-Marquardt step counts as converged
 LM_TOL = 1e-12
+# atom values matching pursuit holds at once (1 MB of float64)
+ATOM_BLOCK = 1 << 17
+# matching-pursuit centres per seed width: finer grids are thinned to this
+CENTRES_PER_WIDTH = 20
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -356,20 +359,90 @@ def _misplaced_peak(x, w_min):
     return bool(np.any(w < 2.0 * w_min) or not apart.all())
 
 
+def _lorentzian_rows(freq, centers, hw2):
+    """Unit-height Lorentzians of squared half width hw2 on freq, one row
+    per center, built in place."""
+    rows = freq - centers[:, None]
+    rows *= rows
+    rows += hw2
+    return np.divide(hw2, rows, out=rows)
+
+
+def _pursuit_seed(freq, y, n_peaks):
+    """Start vector [baseline, c1, w, a1, ...] by orthogonal matching
+    pursuit (Mallat & Zhang, IEEE Trans. Signal Process. 41, 3397 (1993)).
+
+    The atoms are Lorentzians of one width w (the trace's interpolated
+    FWHM, at least two samples), each mean-removed and scaled to unit
+    norm.  They are centred on every grid frequency, or on every k-th
+    one where the grid has more than CENTRES_PER_WIDTH samples per w,
+    so that neighbouring centres stay within w / CENTRES_PER_WIDTH of
+    each other and the scoring cost does not grow with the square of a
+    fine grid.  Each step picks the atom with the largest dot product
+    with the residual, then solves linear least squares for the baseline
+    and every picked amplitude, which leaves the residual orthogonal to
+    the constant and to every picked atom.
+
+    The atoms are scored in blocks of ATOM_BLOCK elements, so memory
+    stays bounded whatever the grid size; when one block holds them all,
+    it is built once and kept for every step.
+    """
+    n = freq.size
+    w = max(_fwhm_interpolated(freq, y), 2.0 * float(np.diff(freq).min()))
+    hw2 = 0.25 * w * w
+    samples_per_width = w * (n - 1) / float(freq[-1] - freq[0])
+    centres = freq[:: max(1, int(samples_per_width / CENTRES_PER_WIDTH))]
+    m = centres.size
+    rows = max(1, ATOM_BLOCK // n)
+    norms = np.empty(m)
+    kept = None
+    columns = [np.ones(n)]
+    picked = []
+    r = y - y.mean()
+    for step in range(n_peaks):
+        dots = np.empty(m)
+        for i in range(0, m, rows):
+            atoms = kept if kept is not None else _lorentzian_rows(freq, centres[i : i + rows], hw2)
+            # r has zero mean, so its dot product with an atom equals that
+            # with the mean-removed atom
+            dots[i : i + rows] = atoms @ r
+            if step == 0:
+                total = atoms.sum(axis=1)
+                norms[i : i + rows] = np.einsum("ij,ij->i", atoms, atoms) - total * total / n
+        if step == 0:
+            norms = np.sqrt(norms)
+            if rows >= m:
+                kept = atoms
+        j = int(np.argmax(dots / norms))
+        picked.append(j)
+        columns.append(_lorentzian_rows(freq, centres[j : j + 1], hw2)[0])
+        design = np.column_stack(columns)
+        coef = np.linalg.lstsq(design, y, rcond=None)[0]
+        r = y - design @ coef
+    x = [float(coef[0])]
+    for j, a in zip(picked, coef[1:]):
+        x.extend((float(centres[j]), w, max(float(a), 1e-12)))
+    return np.array(x)
+
+
 def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
                  max_iter: int = 200) -> FitReport:
     """Least-squares multi-Lorentzian decomposition of a spectrum.
 
     Damped Gauss-Newton with the analytic Jacobian of the Lorentzian
-    model.  Without an init, two seeding strategies run and the
-    lower-cost fit wins: all peaks at once from prominence-ranked
-    maxima, and greedy peak-by-peak from the largest smoothed residual
-    bump.  The first handles clustered peaks that a greedy residual
-    merges; the second handles weak peaks that prominence ranking buries
-    in noise.  When the winner has a needle or two overlapping peaks
-    (:func:`_misplaced_peak`), each peak in turn is moved to the largest
-    residual bump of the others, and the best of these refits replaces
-    it if it is cheaper.  Peaks are returned sorted by center with
+    model.  Without an init, every peak is seeded at once by orthogonal
+    matching pursuit (:func:`_pursuit_seed`) and refined in one run,
+    which lands next to the global optimum on resolved multiplets.  Only
+    when that run does not converge or ends with a needle or two
+    overlapping peaks (:func:`_misplaced_peak`) do the older seedings
+    run as well: all peaks at once from prominence-ranked maxima, and
+    greedy peak-by-peak from the largest smoothed residual bump.  The
+    first handles clustered peaks that a greedy residual merges; the
+    second handles weak peaks that prominence ranking buries in noise.
+    When the better of those two is itself misplaced, each peak in turn
+    is moved to the largest residual bump of the others, and the best of
+    these refits replaces it if it is cheaper.  The cheapest of all
+    candidates wins.  Peaks are returned sorted by center with
     per-parameter uncertainties from the local curvature.
     """
     if n_peaks < 1:
@@ -384,6 +457,7 @@ def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
         raise ValueError("init peak count does not match n_peaks")
     span = float(freq[-1] - freq[0])
     width0 = span / (4.0 * n_peaks)
+    w_min = float(np.diff(freq).min())
     # amplitudes beyond the data range mark the flat degenerate direction
     # (huge width compensated by baseline), not a resonance
     amp_cap = max(10.0 * float(y.max() - y.min()), 1e-12)
@@ -412,19 +486,24 @@ def fit_spectrum(data: OdmrSpectrum, n_peaks: int, init: PeakSet | None = None,
     if init is not None:
         best = refine(_pack(init), n_peaks)
     else:
-        prominent = refine(_pack(_seed_peaks(freq, y, n_peaks)), n_peaks)
-        x = np.array([float(y.min())])
-        for k in range(1, n_peaks + 1):
-            greedy = refine(grow(x), k)
-            x = greedy[0]
-        best = min((prominent, greedy), key=lambda r: r[1])
-        if _misplaced_peak(best[0], float(np.diff(freq).min())):
-            # move each peak in turn to the largest bump the others leave
-            others = (np.delete(best[0], np.s_[1 + 3 * k : 4 + 3 * k]) for k in range(n_peaks))
-            moved = min((refine(grow(rest), n_peaks) for rest in others), key=lambda r: r[1])
-            # a move back onto the same optimum changes only the rounding
-            if moved[1] < (1.0 - LM_TOL) * best[1]:
-                best = moved
+        best = refine(_pursuit_seed(freq, y, n_peaks), n_peaks)
+        if not best[3] or _misplaced_peak(best[0], w_min):
+            prominent = refine(_pack(_seed_peaks(freq, y, n_peaks)), n_peaks)
+            x = np.array([float(y.min())])
+            for k in range(1, n_peaks + 1):
+                greedy = refine(grow(x), k)
+                x = greedy[0]
+            fallback = min((prominent, greedy), key=lambda r: r[1])
+            if _misplaced_peak(fallback[0], w_min):
+                # move each peak in turn to the largest bump the others leave
+                others = (np.delete(fallback[0], np.s_[1 + 3 * k : 4 + 3 * k])
+                          for k in range(n_peaks))
+                moved = min((refine(grow(rest), n_peaks) for rest in others),
+                            key=lambda r: r[1])
+                # a move back onto the same optimum changes only the rounding
+                if moved[1] < (1.0 - LM_TOL) * fallback[1]:
+                    fallback = moved
+            best = min((best, fallback), key=lambda r: r[1])
     x, cost, jmat, converged, n_iter = best
     sig = _curvature_uncertainties(jmat, cost, freq.size)
     order = np.argsort(x[1::3])
@@ -499,6 +578,8 @@ def _voigt(x, sigma: float, gamma: float):
     differ from the Voigt ones by O((sigma/gamma)^2), while z * z would
     overflow below sigma/gamma ~ 1e-154 and z itself at subnormal sigma.
     """
+    from scipy.special import wofz
+
     if sigma <= 1e-100 * gamma:
         den = x * x + gamma * gamma
         v = gamma / (math.pi * den)

@@ -4,8 +4,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .spinops import SpinQuantumNumber
 
@@ -102,6 +100,8 @@ def steady_state(lv) -> SteadyStateReport:
         If its dimension exceeds one; physical models with nonzero pump
         have unique steady states, so degeneracy signals a bad config.
     """
+    from scipy.linalg import lapack
+
     mat = lv.matrix
     n = lv.hilbert_dim
     dissipative = lv.dissipative_norm
@@ -135,6 +135,8 @@ def steady_state(lv) -> SteadyStateReport:
 
 def _solve_bordered(lu, piv, mat, n) -> tuple:
     """(hermitized rho, ||L vec(rho)||_2) from the LU of the bordered system."""
+    from scipy.linalg import lapack
+
     rhs = np.zeros(n * n, dtype=np.complex128)
     rhs[0] = 1.0
     vec, _ = lapack.zgetrs(lu, piv, rhs)
@@ -149,13 +151,15 @@ def evolve(rho0: DensityMatrix, lv, t: float) -> DensityMatrix:
     Serves as an independent oracle for steady_state; scaling-and-
     squaring expm keeps trace and Hermiticity to 1e-8.
     """
+    from scipy.linalg import expm
+
     if t < 0:
         raise ValueError("evolution time must be non-negative")
     n = lv.hilbert_dim
     rho0 = np.asarray(rho0, dtype=np.complex128)
     if rho0.shape != (n, n):
         raise ValueError(f"state shape {rho0.shape} does not match hilbert_dim {n}")
-    vec = scipy.linalg.expm(lv.matrix * t) @ rho0.reshape(-1)
+    vec = expm(lv.matrix * t) @ rho0.reshape(-1)
     return vec.reshape(n, n)
 
 
@@ -175,21 +179,6 @@ def slowest_rate(lv) -> float:
     if rates.size == 0:
         raise SolverError("Liouvillian has no decaying modes")
     return float(rates.min())
-
-
-def partial_trace(rho: DensityMatrix, keep: int, dims) -> DensityMatrix:
-    """Reduced state of one subsystem of a bipartite density matrix."""
-    d0, d1 = (int(d) for d in dims)
-    if rho.shape != (d0 * d1, d0 * d1):
-        raise ValueError(
-            f"state dimension {rho.shape} does not match dims {dims}"
-        )
-    r = rho.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        return np.einsum("ijkj->ik", r)
-    if keep == 1:
-        return np.einsum("ijil->jl", r)
-    raise ValueError(f"keep must be 0 or 1, got {keep}")
 
 
 def nuclear_polarization(rho: DensityMatrix, dims, nuclear_spin: SpinQuantumNumber) -> float:
@@ -217,9 +206,15 @@ def _nuclear_weights(dims: tuple, nuclear_spin: SpinQuantumNumber) -> np.ndarray
 
 
 def electron_polarization(rho: DensityMatrix, dims) -> float:
-    """Population of m_s = 0 in the reduced electron state."""
-    if dims[0] != 3:
+    """Population of m_s = 0 in the reduced electron state.
+
+    In the product basis (electron slot 0, descending m) the m_s = 0
+    states are rows d1 to 2 d1 - 1, so this sums that stretch of the
+    diagonal of rho; no partial trace is formed.
+    """
+    d0, d1 = (int(d) for d in dims)
+    if d0 != 3:
         raise ValueError("electron subsystem must be spin 1 (dimension 3)")
-    rho_e = partial_trace(rho, 0, dims)
-    # descending-m basis: index 1 is m_s = 0
-    return float(np.real(rho_e[1, 1]))
+    if rho.shape != (d0 * d1, d0 * d1):
+        raise ValueError(f"state dimension {rho.shape} does not match dims {dims}")
+    return float(np.real(np.diagonal(rho))[d1 : 2 * d1].sum())

@@ -236,6 +236,23 @@ class TestConfigErrors:
         assert main(["make-coffee", "--config", "x.yaml"]) == 2
         capsys.readouterr()
 
+    def test_successive_calls_act_fresh(self, tmp_path, capsys):
+        # one parser serves every call in a process; no option or command
+        # of an earlier call may leak into a later one
+        cfg = write_config(tmp_path, SYNTH_YAML.replace("seed: 7", "seed: 7\nfit: {n_peaks: 2}"))
+        assert main(["synth", "--out", str(tmp_path)]) == 2
+        assert "--config" in capsys.readouterr().err
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "3"]) == 0
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert "# seed 3\n" in (tmp_path / "a" / "synth_spectrum.txt").read_text()
+        assert "# seed 7\n" in (tmp_path / "b" / "synth_spectrum.txt").read_text()
+        spectrum = str(tmp_path / "b" / "synth_spectrum.txt")
+        assert main(["fit-odmr", "--config", cfg, "--out", str(tmp_path / "fit"), spectrum]) == 0
+        assert "converged true" in (tmp_path / "fit" / "fit_odmr.txt").read_text()
+        assert not (tmp_path / "fit" / "synth_spectrum.txt").exists()
+        assert main(["fit-odmr", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+        assert "spectrum" in capsys.readouterr().err
+
     def test_exponent_without_point_is_a_number(self, tmp_path, capsys):
         # YAML 1.2 reads 5e2 as a float; a quoted "5e2" stays a string
         outputs = []
@@ -515,6 +532,19 @@ fit:
   m_values: [1, 0, -1]
 """
 
+ESODMR_FIT_YAML = """\
+synth:
+  kind: esodmr
+  grid: {start_mhz: 1100.0, stop_mhz: 1700.0, count: 401}
+  d_es_mhz: 1400.0
+  natural_fwhm_mhz: 5.0
+  amplitude: 0.04
+  strain: {mean_mhz: 0.0, sigma_mhz: 50.0, n_quadrature: 32}
+fit:
+  d_es_mhz: 1400.0
+  natural_fwhm_mhz: 5.0
+"""
+
 
 class TestFitPipeline:
     def synth_spectrum(self, tmp_path, yaml_text, seed=None):
@@ -571,19 +601,7 @@ class TestFitPipeline:
         assert "at least 8" in json.loads(capsys.readouterr().err)["detail"]
 
     def test_fit_strain_roundtrip(self, tmp_path):
-        text = """\
-synth:
-  kind: esodmr
-  grid: {start_mhz: 1100.0, stop_mhz: 1700.0, count: 401}
-  d_es_mhz: 1400.0
-  natural_fwhm_mhz: 5.0
-  amplitude: 0.04
-  strain: {mean_mhz: 0.0, sigma_mhz: 50.0, n_quadrature: 32}
-fit:
-  d_es_mhz: 1400.0
-  natural_fwhm_mhz: 5.0
-"""
-        cfg, spectrum = self.synth_spectrum(tmp_path, text)
+        cfg, spectrum = self.synth_spectrum(tmp_path, ESODMR_FIT_YAML)
         out = tmp_path / "fit"
         code = main(["fit-strain", "--config", cfg, "--out", str(out), spectrum])
         assert code == 0
@@ -684,3 +702,33 @@ def test_cli_import_leaves_out_scipy_signal(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
     assert "converged true" in (tmp_path / "fit" / "fit_odmr.txt").read_text()
+
+
+def test_fit_commands_leave_out_scipy_linalg(tmp_path):
+    # scipy.linalg alone takes about half of a fresh `import nvpol.cli`
+    # that loads it; only the steady-state solver and evolve need it, and
+    # only the strain lineshape needs scipy.special
+    src_root = str(Path(nvpol.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_root, env.get("PYTHONPATH")) if p)
+    triplet = write_config(tmp_path, CRITERION_7_YAML)
+    strain = write_config(tmp_path, ESODMR_FIT_YAML, name="strain.yaml")
+    code = (
+        "import sys\n"
+        "from nvpol.cli import main\n"
+        "def loaded(name):\n"
+        "    return any(m == name or m.startswith(name + '.') for m in sys.modules)\n"
+        f"assert main(['synth', '--config', {triplet!r}, '--out', {str(tmp_path / 'odmr')!r}]) == 0\n"
+        f"assert main(['fit-odmr', '--config', {triplet!r}, '--out', {str(tmp_path / 'fit')!r}, "
+        f"{str(tmp_path / 'odmr' / 'synth_spectrum.txt')!r}]) == 0\n"
+        "print(loaded('scipy'))\n"
+        f"assert main(['synth', '--config', {strain!r}, '--out', {str(tmp_path / 'es')!r}]) == 0\n"
+        f"assert main(['fit-strain', '--config', {strain!r}, '--out', {str(tmp_path / 'fit')!r}, "
+        f"{str(tmp_path / 'es' / 'synth_spectrum.txt')!r}]) == 0\n"
+        "print(loaded('scipy.linalg'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+    assert "converged true" in (tmp_path / "fit" / "fit_strain.txt").read_text()

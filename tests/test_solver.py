@@ -24,7 +24,6 @@ from nvpol.solver import (
     electron_polarization,
     evolve,
     nuclear_polarization,
-    partial_trace,
     slowest_rate,
     steady_state,
     validate_density_matrix,
@@ -267,7 +266,24 @@ class TestSlowestRate:
         assert rate < 10.0  # no faster than the pump
 
 
+def partial_trace(rho, keep, dims):
+    """Reduced state of one subsystem of a bipartite density matrix, as
+    the package computed it before the observables read the diagonal;
+    kept here as the oracle for both polarizations."""
+    d0, d1 = (int(d) for d in dims)
+    if rho.shape != (d0 * d1, d0 * d1):
+        raise ValueError(f"state dimension {rho.shape} does not match dims {dims}")
+    r = rho.reshape(d0, d1, d0, d1)
+    if keep == 0:
+        return np.einsum("ijkj->ik", r)
+    if keep == 1:
+        return np.einsum("ijil->jl", r)
+    raise ValueError(f"keep must be 0 or 1, got {keep}")
+
+
 class TestPartialTrace:
+    """The partial-trace oracle itself."""
+
     def test_product_state_exact(self):
         rng = np.random.default_rng(5)
         rho_e = random_density_matrix(rng, 3)
@@ -354,6 +370,24 @@ class TestNuclearPolarizationOracle:
             nuclear_polarization(rho, (3, 2), SpinQuantumNumber(1))
         with pytest.raises(ValueError, match="does not match"):
             nuclear_polarization(rho, (3, 3), SpinQuantumNumber(1))
+
+
+class TestElectronPolarizationOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(two_s=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_partial_trace(self, two_s, seed):
+        dims = (3, SpinQuantumNumber(two_s).dim)
+        rho = random_density_matrix(np.random.default_rng(seed), 3 * dims[1])
+        # descending-m basis: index 1 of the electron state is m_s = 0
+        expected = float(np.real(partial_trace(rho, 0, dims)[1, 1]))
+        assert abs(electron_polarization(rho, dims) - expected) <= 1e-15
+
+    def test_dimension_mismatch_rejected(self):
+        rho = np.eye(9, dtype=complex) / 9.0
+        with pytest.raises(ValueError, match="does not match"):
+            electron_polarization(rho, (3, 2))
+        with pytest.raises(ValueError, match="spin 1"):
+            electron_polarization(rho, (2, 3))
 
 
 class TestValidateDensityMatrix:
