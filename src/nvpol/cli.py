@@ -105,7 +105,7 @@ def _run_sweep(cfg: RunConfig, args, out_dir: str, run, stem: str, axes: tuple) 
         axis1=cfg.sweep_axis1,
         axis2=cfg.sweep_axis2,
     )
-    result = run(spec, checkpoint_path=args.checkpoint)
+    result = run(spec)
     values = (result.axis1_values, result.axis2_values)
     rows = []
     for idx in np.ndindex(result.status.shape):
@@ -227,17 +227,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="YAML run configuration")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    # accepted so that existing command lines still parse
     common.add_argument(
         "--threads", type=int, default=1,
-        help="ignored: sweeps run serially, since a point is a few ms of "
+        help="ignored, kept because old command lines and the benchmark pass "
+             "it: sweeps run serially, since a point is about 0.25 ms of "
              "GIL-holding numpy work that threads only slow down",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("steady", parents=[common], help="single steady-state solve")
     for name in ("sweep-b", "scan-2d"):
         sp = sub.add_parser(name, parents=[common], help=f"{name} sweep to CSV")
-        sp.add_argument("--checkpoint", default=None, help="resumable checkpoint file")
+        sp.add_argument(
+            "--checkpoint", default=None, metavar="PATH",
+            help="ignored, kept because old command lines and the benchmark "
+                 "pass it: writes no file, since a whole sweep reruns in seconds",
+        )
     sub.add_parser("temperature", parents=[common], help="strain-averaged temperature curve")
     for name in ("fit-odmr", "fit-strain"):
         sp = sub.add_parser(name, parents=[common], help=f"{name} on a spectrum file")

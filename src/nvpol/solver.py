@@ -148,8 +148,11 @@ def _solve_bordered(lu, piv, mat, n) -> tuple:
 def evolve(rho0: DensityMatrix, lv, t: float) -> DensityMatrix:
     """Propagate rho0 for time t (us): vec(rho_t) = expm(L t) vec(rho0).
 
-    Serves as an independent oracle for steady_state; scaling-and-
-    squaring expm keeps trace and Hermiticity to 1e-8.
+    Serves as an independent oracle for steady_state.  Scaling-and-
+    squaring expm loses more trace as ||L|| t grows: after
+    50 / slowest_rate, |tr rho - 1| stays below 1e-8 for axial fields
+    up to 1 kG, but reaches 8e-7 at 30 kG and 3e-6 at 58.8 kG.
+    Hermiticity held to 2e-11 at every field tried, from 0 to 58.8 kG.
     """
     from scipy.linalg import expm
 

@@ -327,17 +327,14 @@ class TestSweepB:
         assert main(["sweep-b", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
         assert (out1 / "sweep_b.csv").read_bytes() == (out2 / "sweep_b.csv").read_bytes()
 
-    def test_checkpoint_resume(self, tmp_path):
+    def test_checkpoint_is_ignored(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_YAML)
         ckpt = tmp_path / "sweep.ckpt"
-        out1, out2 = tmp_path / "c1", tmp_path / "c2"
-        args = ["sweep-b", "--config", cfg, "--checkpoint", str(ckpt)]
-        assert main(args + ["--out", str(out1)]) == 0
-        text = ckpt.read_text().splitlines()
-        assert text[0] == "# nvpol checkpoint v1"
-        assert len(text) == 5  # magic + params + 3 rows
-        # second run resumes from the complete checkpoint
-        assert main(args + ["--out", str(out2)]) == 0
+        out1, out2 = tmp_path / "plain", tmp_path / "ckpt"
+        assert main(["sweep-b", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["sweep-b", "--config", cfg, "--out", str(out2),
+                     "--checkpoint", str(ckpt)]) == 0
+        assert not ckpt.exists()
         assert (out1 / "sweep_b.csv").read_bytes() == (out2 / "sweep_b.csv").read_bytes()
 
     def test_all_points_failed_exits_4(self, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -479,3 +480,41 @@ class TestParamValidation:
     def test_nuclear_spin_dim_in_params(self):
         p = NVSystemParams(nuclear_spin=SpinQuantumNumber(1))
         assert p.dims == (3, 2)
+
+
+class TestExactSymmetries:
+    """Symmetries of H that the steady state must keep to rounding.
+
+    A rotation by 90 degrees about the NV axis maps Sx^2 - Sy^2 to its
+    negative and turns a transverse field by 90 degrees, while the axial
+    field, the axial hyperfine tensor and every collapse channel stay
+    put.  At E = 0 every rotation about the axis is a symmetry.
+    """
+
+    diss = DissipationParams(pump_leak_ratio=0.1245625)
+
+    def p_nuclear(self, b_axial, b_perp, phi, e_es, a_perp, two_s):
+        b_field = (b_perp * math.cos(phi), b_perp * math.sin(phi), b_axial)
+        params = NVSystemParams(
+            e_es=e_es, b_field=b_field, nuclear_spin=SpinQuantumNumber(two_s),
+            hyperfine=HyperfineTensor(a_perp=a_perp),
+        )
+        return solve_point(params, self.diss)[0]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        b_axial=st.floats(0.0, 1000.0), e_es=st.floats(1.0, 300.0), a_perp=st.floats(0.0, 60.0),
+        two_s=st.integers(1, 3), b_perp=st.floats(0.5, 20.0), phi=st.floats(0.0, 2 * math.pi),
+        dphi=st.floats(0.0, 2 * math.pi),
+    )
+    def test_strain_sign_and_field_azimuth(self, b_axial, e_es, a_perp, two_s, b_perp, phi, dphi):
+        p = functools.partial(self.p_nuclear, b_axial, a_perp=a_perp, two_s=two_s)
+        # P(E) = P(-E) under an axial field
+        assert abs(p(0.0, 0.0, e_es=e_es) - p(0.0, 0.0, e_es=-e_es)) <= 1e-11
+        # at E = 0, P does not depend on the transverse field's azimuth; with
+        # a_perp near 0 and I = 3/2, P is itself ~1e-11 and two solves differ
+        # by up to 1.1e-11 of LU rounding
+        assert abs(p(b_perp, phi, e_es=0.0) - p(b_perp, phi + dphi, e_es=0.0)) <= 2e-11
+        # P(E, phi) = P(-E, phi + 90 degrees)
+        rotated = p(b_perp, phi + math.pi / 2, e_es=-e_es)
+        assert abs(p(b_perp, phi, e_es=e_es) - rotated) <= 1e-11

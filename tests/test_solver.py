@@ -236,6 +236,17 @@ class TestEvolve:
         assert rho_t[0, 1] == pytest.approx(0.2 * np.exp(-gamma * t / 2), abs=1e-10)
         assert np.trace(rho_t).real == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("e_es", [0.0, 100.0])
+    def test_trace_and_hermiticity_up_to_1_kg(self, e_es):
+        # the range evolve's docstring gives for its 1e-8 claim
+        d = DissipationParams(pump_leak_ratio=0.1245625)
+        for b_gauss in (0.0, 250.0, 500.0, 750.0, 1000.0):
+            p = NVSystemParams(e_es=e_es, b_field=(0.0, 0.0, b_gauss))
+            lv = liouvillian(build_hamiltonian(p), build_collapse_ops(d, p.dims))
+            rho_t = evolve(np.eye(9) / 9.0, lv, 50.0 / slowest_rate(lv))
+            assert abs(np.trace(rho_t) - 1.0) < 1e-8, b_gauss
+            assert np.abs(rho_t - rho_t.conj().T).max() < 1e-8, b_gauss
+
     def test_unitary_evolution_preserves_purity(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         lv = liouvillian(h, [])

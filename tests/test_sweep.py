@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import nvpol.sweep as sweep_module
 from nvpol.model import DissipationParams, HyperfineTensor, NVSystemParams
 from nvpol.solver import SolverError
 from nvpol.sweep import (
@@ -189,90 +188,6 @@ class TestScanFieldStrain:
         scan = scan_field_strain(default_spec(ax_b, ax_e))
         row = scan.p_nuclear[0]
         assert row[0] > row[1] > row[2]
-
-
-class TestThreadsAndCheckpoint:
-    def test_checkpoint_roundtrip_and_resume(self, tmp_path):
-        spec = default_spec(SweepAxis("b_axial_gauss", 100.0, 900.0, 5))
-        reference = sweep_field(spec)
-
-        ckpt = tmp_path / "sweep.ckpt"
-        first = sweep_field(spec, checkpoint_path=str(ckpt))
-        assert np.array_equal(first.p_nuclear, reference.p_nuclear)
-        lines = ckpt.read_text().splitlines()
-        assert lines[0] == "# nvpol checkpoint v1"
-        assert lines[1].startswith("# params ")
-        assert len(lines) == 2 + 5
-
-        # truncate to two completed rows plus a torn third line, as if the
-        # process died mid-write, then resume
-        truncated = "\n".join(lines[:4]) + "\n" + lines[4][: len(lines[4]) // 2]
-        ckpt.write_text(truncated)
-        resumed = sweep_field(spec, checkpoint_path=str(ckpt))
-        assert np.array_equal(resumed.p_nuclear, reference.p_nuclear)
-        assert np.array_equal(resumed.p_electron, reference.p_electron)
-        assert np.array_equal(resumed.residual, reference.residual)
-
-    @pytest.mark.parametrize("cut", ["status", "number"])
-    def test_resume_after_torn_row(self, tmp_path, monkeypatch, cut):
-        spec = default_spec(SweepAxis("b_axial_gauss", 100.0, 900.0, 6))
-        reference = sweep_field(spec)
-        ckpt = tmp_path / "sweep.ckpt"
-        sweep_field(spec, checkpoint_path=str(ckpt))
-        full = ckpt.read_text()
-        lines = full.splitlines(keepends=True)
-        # stop the run while it writes the fourth row: inside its status
-        # ("ok" left as "o") or inside its electron polarization
-        torn = lines[5]
-        if cut == "status":
-            torn = torn[: -len("k\n")]
-        else:
-            torn = " ".join(torn.split()[:5]) + " " + torn.split()[5][:6]
-        ckpt.write_text("".join(lines[:5]) + torn)
-
-        resumed = sweep_field(spec, checkpoint_path=str(ckpt))
-        for name in ("p_nuclear", "p_electron", "residual"):
-            assert np.array_equal(getattr(resumed, name), getattr(reference, name))
-        assert list(resumed.status) == ["ok"] * 6
-        assert ckpt.read_text() == full
-
-        solved = []
-
-        def counting_solve(*args):
-            solved.append(args)
-            return solve_point(*args)
-
-        monkeypatch.setattr(sweep_module, "solve_point", counting_solve)
-        again = sweep_field(spec, checkpoint_path=str(ckpt))
-        assert solved == []
-        assert np.array_equal(again.p_nuclear, reference.p_nuclear)
-        assert list(again.status) == ["ok"] * 6
-        assert ckpt.read_text() == full
-
-    def test_checkpoint_with_threads_stays_prefix_ordered(self, tmp_path):
-        spec = default_spec(SweepAxis("b_axial_gauss", 100.0, 900.0, 6))
-        ckpt = tmp_path / "sweep.ckpt"
-        result = sweep_field(spec, checkpoint_path=str(ckpt))
-        lines = ckpt.read_text().splitlines()
-        flat_indices = [int(line.split()[0]) for line in lines[2:]]
-        assert flat_indices == sorted(flat_indices)
-        serial = sweep_field(spec)
-        assert np.array_equal(result.p_nuclear, serial.p_nuclear)
-
-    def test_checkpoint_rejects_other_parameters(self, tmp_path):
-        ax = SweepAxis("b_axial_gauss", 100.0, 900.0, 3)
-        ckpt = tmp_path / "sweep.ckpt"
-        sweep_field(default_spec(ax), checkpoint_path=str(ckpt))
-        other = default_spec(ax, pump_leak_ratio=0.5)
-        with pytest.raises(ValueError, match="different sweep parameters"):
-            sweep_field(other, checkpoint_path=str(ckpt))
-
-    def test_checkpoint_rejects_foreign_file(self, tmp_path):
-        ckpt = tmp_path / "notes.txt"
-        ckpt.write_text("hello\nworld\n")
-        spec = default_spec(SweepAxis("b_axial_gauss", 100.0, 900.0, 3))
-        with pytest.raises(ValueError, match="not a recognized checkpoint"):
-            sweep_field(spec, checkpoint_path=str(ckpt))
 
 
 class TestStrainAveraged:
